@@ -1,21 +1,20 @@
 """Shared plumbing for the cluster benchmark scripts.
 
 ``bench_e14_cluster.py`` and ``bench_e15_backends.py`` both double as
-standalone scripts that record wall-clock and events/sec numbers --
-per engine-queue mode (wheel default, heap reference) -- into
-``BENCH_cluster.json`` at the repo root. The committed file is the
-baseline the CI bench-smoke job compares fresh measurements against.
+standalone scripts that record wall-clock and events/sec numbers, with
+the host that measured them, into ``BENCH_cluster.json`` at the repo
+root. The committed file is the baseline the CI bench-smoke job
+compares fresh measurements against.
 """
 
 import json
 import os
 import pathlib
+import platform
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = ROOT / "BENCH_cluster.json"
-
-QUEUE_MODES = ("wheel", "heap")
 
 
 def timed_cluster_run(run_fn, repeats: int = 3) -> dict:
@@ -51,21 +50,17 @@ def timed_experiment(experiment_id: str, quick: bool) -> dict:
             "seconds": round(time.perf_counter() - start, 2)}
 
 
-def per_queue_mode(measure) -> dict:
-    """Run ``measure()`` once per engine backing store and key the
-    results by mode. Restores the environment afterwards."""
-    prior = os.environ.get("REPRO_ENGINE_QUEUE")
-    out = {}
-    try:
-        for mode in QUEUE_MODES:
-            os.environ["REPRO_ENGINE_QUEUE"] = mode
-            out[mode] = measure()
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_ENGINE_QUEUE", None)
-        else:
-            os.environ["REPRO_ENGINE_QUEUE"] = prior
-    return out
+def host() -> dict:
+    """The machine a section was measured on."""
+    cpu = platform.processor()
+    cpuinfo = pathlib.Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    return {"node": platform.node(), "cpu": cpu, "nproc": os.cpu_count(),
+            "python": platform.python_version()}
 
 
 def update_section(section: str, payload: dict) -> None:

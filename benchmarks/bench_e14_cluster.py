@@ -1,9 +1,9 @@
 """E14 bench: the cluster experiment + cluster-run micro-benchmarks.
 
 Run as a script (``PYTHONPATH=src python benchmarks/bench_e14_cluster.py``)
-to record the E14 wall-clock and a cluster-run events/sec number per
-engine-queue mode into ``BENCH_cluster.json``; pass ``--quick`` to skip
-the full-mode experiment timing.
+to record the E14 wall-clock and a cluster-run events/sec number into
+``BENCH_cluster.json``; pass ``--quick`` to skip the full-mode
+experiment timing.
 """
 
 import sys
@@ -117,19 +117,17 @@ def main(quick_only: bool) -> None:
     from benchmarks import _cluster_bench as cb
 
     payload = {
-        # the pre-PR timer-wheel/lazy-deadline baseline: E14 full-mode
-        # wall-clock on this container before the engine rework
+        "host": cb.host(),
+        # E14 full-mode wall-clock before the lazy-deadline PS
+        # completions and the callback-chain RPC handling
         "pre_rework_full_seconds": 62.07,
-        "modes": cb.per_queue_mode(lambda: {
-            "cluster_run": micro_bench(),
-            "experiment": (
-                [cb.timed_experiment("E14", quick=True)] if quick_only else
-                [cb.timed_experiment("E14", quick=True),
-                 cb.timed_experiment("E14", quick=False)]),
-        }),
-        # conservative-PDES sharding (default wheel store, process
-        # transport); byte-identical output, so this is purely a
-        # wall-clock/events-per-sec trajectory
+        "cluster_run": micro_bench(),
+        "experiment": (
+            [cb.timed_experiment("E14", quick=True)] if quick_only else
+            [cb.timed_experiment("E14", quick=True),
+             cb.timed_experiment("E14", quick=False)]),
+        # conservative-PDES sharding (process transport); byte-identical
+        # output, so this is purely a wall-clock/events-per-sec trajectory
         "shard_scaling": shard_scaling(),
     }
     if not quick_only:

@@ -13,12 +13,11 @@ Topology
 --------
 The cluster is a star: nodes talk only to the client, never to each
 other. That makes the partition simple -- node ``i`` lives on shard
-``i % shards``, each shard runs its own :class:`~repro.sim.engine.Engine`
-(heap or wheel, same ``REPRO_ENGINE_QUEUE`` selection), and the client
-side (front-end, balancer, workload, hedge timers, latency recorder)
-runs on the coordinating engine. Cross-shard sends become timestamped
-tuples over pipes, delivered into the destination engine at
-``send_time + sampled link delay``.
+``i % shards``, each shard runs its own :class:`~repro.sim.engine.Engine`,
+and the client side (front-end, balancer, workload, hedge timers,
+latency recorder) runs on the coordinating engine. Cross-shard sends
+become timestamped tuples over pipes, delivered into the destination
+engine at ``send_time + sampled link delay``.
 
 Two synchronization schedules
 -----------------------------

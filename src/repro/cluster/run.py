@@ -81,6 +81,11 @@ class ClusterConfig:
                                     # | "null" (isa backend only)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.design, ServerDesign):
+            raise ConfigError(
+                f"design must be a ServerDesign, got {self.design!r}; look "
+                f"one up by name with get_design() (known designs: "
+                f"{', '.join(DESIGNS)})")
         if self.nodes < 1:
             raise ConfigError(f"need at least one node, got {self.nodes}")
         if not 0.0 < self.load:

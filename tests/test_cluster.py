@@ -257,6 +257,10 @@ class TestClusterConfig:
             ClusterConfig(requests=0)
         with pytest.raises(ConfigError):
             ClusterConfig(threads_per_peer=-1)
+        # a design name is not a design: point at the lookup instead of
+        # failing later inside label() or the RPC model
+        with pytest.raises(ConfigError, match=r"get_design\(\).*sw-threads"):
+            ClusterConfig(design="sw-threads")
 
 
 class TestDeterminism:

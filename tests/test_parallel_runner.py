@@ -5,16 +5,26 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments import all_experiments
 from repro.experiments.parallel import run_parallel
+from repro.sim.engine import HeapEngine, WheelEngine
 
 
-@pytest.mark.parametrize("queue_mode", ["heap", "wheel"])
-def test_parallel_matches_serial_byte_for_byte(queue_mode, monkeypatch):
-    # both engine backing stores must hold the serial/parallel identity
-    # (workers inherit the env var through the spawn environment)
-    monkeypatch.setenv("REPRO_ENGINE_QUEUE", queue_mode)
+@pytest.fixture(scope="module")
+def quick_runs():
+    """Every quick experiment, run serially and by four workers. Made
+    once: the engine has one store, so the result cannot depend on the
+    case below that reads it."""
     serial = [experiment.run(quick=True)
               for experiment in all_experiments()]
-    parallel = run_parallel(quick=True, workers=4)
+    return serial, run_parallel(quick=True, workers=4)
+
+
+# the ids name the two compat engine classes perfbench/ imports; both
+# must build the store the experiments ran on
+@pytest.mark.parametrize("queue_mode", ["heap", "wheel"])
+def test_parallel_matches_serial_byte_for_byte(queue_mode, quick_runs):
+    engine_cls = {"heap": HeapEngine, "wheel": WheelEngine}[queue_mode]
+    assert type(engine_cls()) is HeapEngine
+    serial, parallel = quick_runs
     assert [r.experiment_id for r in parallel] == \
         [r.experiment_id for r in serial]
     for fast, slow in zip(parallel, serial):

@@ -171,7 +171,10 @@ def test_mass_cancel_mid_run_keeps_later_events():
     assert engine.pending_events == 0
 
 
-@pytest.mark.parametrize("engine_cls", [HeapEngine, WheelEngine])
+# the two compat names perfbench/ imports; WheelEngine is Engine itself,
+# so its id is spelled out rather than taken from __name__
+@pytest.mark.parametrize("engine_cls", [HeapEngine, WheelEngine],
+                         ids=["HeapEngine", "WheelEngine"])
 def test_next_event_time_mid_run_keeps_later_events(engine_cls):
     # regression, same family as the stranded-event compaction bug
     # below: next_event_time used to pop cancelled heads straight off
