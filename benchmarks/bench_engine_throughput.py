@@ -21,10 +21,11 @@ trajectory to compare against:
   noise between runs is ~7%, far above the effect, so cross-run
   comparison would be meaningless).  ``disabled_overhead_pct`` is the
   regression of instrument=False against a reference pass of the same
-  build -- the disabled issue loop is byte-identical to the
-  uninstrumented one, so this is a measured noise bound, gated at <3%
-  in CI.  ``enabled_overhead_pct`` documents what full instrumentation
-  costs when you opt in.
+  build -- both passes run the one issue loop with no profiler
+  attached, so this is a measured noise bound, gated at <3% in CI
+  (what the loop's ``profile is not None`` guards themselves cost only
+  shows against a build without them).  ``enabled_overhead_pct``
+  documents what full instrumentation costs when you opt in.
 
 Run:  PYTHONPATH=src python benchmarks/bench_engine_throughput.py
 """
@@ -90,8 +91,7 @@ def bench_instrumentation(trials: int = 5, burst: int = 100_000,
     """Best-of-N interleaved A/B: reference vs disabled vs enabled.
 
     Uses the naive (fast_forward=False) per-cycle loop, where the
-    instrumented loop body would hurt most if the mode selection ever
-    leaked into the disabled path.
+    profiler calls in the issue loop would hurt most.
     """
     from repro.machine import build_machine
 

@@ -44,7 +44,7 @@ def test_bench_priority_issue_contention(benchmark):
     """A high-priority thread racing three hogs on one issue slot."""
 
     def run():
-        machine = build_machine(issue_policy="priority", smt_width=1)
+        machine = build_machine(smt_width=1)
         done = machine.alloc("done", 64)
         machine.load_asm(0, """
         loop:

@@ -92,16 +92,20 @@ def isa_markdown() -> str:
         "",
         "## Weighted round-robin issue",
         "",
-        "`build_machine(issue_policy='wrr')` selects a credit-based",
-        "weighted round-robin arbiter (Section 4's \"hardware support",
-        "for thread priorities\" without preemption): each hardware",
-        "thread holds an integer credit balance, a ring walk spends one",
-        "credit per issue, and balances refill by `weight` once every",
-        "ring pass. Selection is O(1) per issued instruction, shares",
-        "converge to exact weight proportions under contention (E18",
-        "table 1), and at uniform weights the pick stream -- including",
-        "the stored ring pointer -- is identical to plain `rr`. Set",
-        "weights with `core.set_priority(ptid, weight)`.",
+        "Every core issues through one credit-based weighted round-robin",
+        "arbiter (Section 4's fine-grain round-robin plus \"hardware",
+        "support for thread priorities\", without preemption). While the",
+        "issueable threads' weights are equal it is plain round-robin:",
+        "the pick stream and the stored ring pointer match a naive RR",
+        "arbiter pick for pick (`tests/rr_reference.py`), and the",
+        "fast-forward may batch contended rounds as whole rotations.",
+        "When weights differ, each hardware thread holds an integer",
+        "credit balance, a ring walk spends one credit per issue, and",
+        "balances refill by `weight` once every ring pass: selection is",
+        "O(1) per issued instruction and shares converge to exact weight",
+        "proportions under contention (E18 table 1). Set weights with",
+        "`core.set_priority(ptid, weight)`; the next round uses them.",
+        "There is no policy to choose.",
         "",
     ]
     return "\n".join(lines)
@@ -184,16 +188,17 @@ def experiments_markdown() -> str:
         "next pending *foreign* engine event (other cores' per-cycle",
         "resumes live in the engine's step lane and do not count), and",
         "(d) the `run(until=...)` horizon. Under slot contention the",
-        "jump is restricted to whole round-robin rotations, which pick",
-        "every thread the same number of times and leave the rotation",
-        "pointer unchanged. When another component could wake mid-jump",
+        "jump needs equal priorities and is restricted to whole",
+        "round-robin rotations, which pick every thread the same number",
+        "of times and leave the rotation pointer unchanged. When",
+        "another component could wake mid-jump",
         "(multi-core machines, cluster nodes), the batch is armed as an",
         "interruptible sleep on the core's wake signal and re-planned at",
         "whatever point it actually resumed. The batch replays per-round",
         "accounting exactly -- retired instructions, per-thread busy",
-        "cycles, issue rounds, storage recency order, policy virtual",
-        "time, trace stream, and the final clock are identical to naive",
-        "stepping; only `events_processed` drops (that is the point).",
+        "cycles, issue rounds, storage recency order, the arbiter's",
+        "ring pointer, trace stream, and the final clock are identical",
+        "to naive stepping; only `events_processed` drops (that is the point).",
         "Set `REPRO_NO_FASTFORWARD=1` (or",
         "`MachineConfig.fast_forward=False`) to force naive stepping;",
         "`tests/test_fastforward_equivalence.py` diffs the two modes on",
@@ -218,12 +223,15 @@ def observability_markdown() -> str:
     lines = [
         "# Observability",
         "",
-        "Instrumentation is **off by default and zero-cost when off**:",
-        "the issue loop selects an entirely uninstrumented body at",
-        "startup, and everything else guards on one attribute-is-None",
-        "check. `BENCH_engine.json` records the measured disabled-mode",
-        "overhead (`instrumentation.disabled_overhead_pct`, gated <3%",
-        "in CI).",
+        "Instrumentation is **off by default and nearly free when off**:",
+        "the core has one issue loop, whose profiler calls each sit",
+        "behind an attribute-is-None check, and everything else guards",
+        "on one such check too. `BENCH_engine.json` records the measured",
+        "disabled-mode overhead (`instrumentation.disabled_overhead_pct`,",
+        "gated <3% in CI). Instrumentation only observes: an instrumented",
+        "machine runs exactly the uninstrumented simulation, engine",
+        "events included (`tests/test_fastforward_equivalence.py`), and",
+        "CI `cmp`s the quick evaluation with and without `--metrics`.",
         "",
         "Turn it on per machine with `build_machine(instrument=True)`,",
         "or for a whole region with a session -- every machine built",
@@ -301,7 +309,11 @@ def observability_markdown() -> str:
         "",
         "The invariant -- enforced by `CoreProfile.snapshot` and checked",
         "on every experiment in `tests/test_obs_profile.py` -- is that",
-        "the buckets sum *exactly* to `engine.now` for every core.",
+        "the buckets sum *exactly* to `engine.now` for every core. When",
+        "an issue round leaves every runnable thread busy past the next",
+        "cycle, the loop sleeps straight to the earliest busy thread's",
+        "release; the profiler charges that sleep as one `issue` (or",
+        "`fastforward`) cycle for the round, then `stall`.",
         "",
         "## Tracing",
         "",

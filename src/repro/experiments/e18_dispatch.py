@@ -14,10 +14,13 @@ measured here, both required to be *behaviorally invisible*:
   deterministic proxy for dispatch cost; wall-clock lives in
   ``benchmarks/bench_isa_dispatch.py``).
 - **credit-based weighted round-robin issue** (Section 4: "hardware
-  support for thread priorities"): an O(1) ring-walk arbiter whose
-  steady-state shares are exactly proportional to thread weight, and
-  which degenerates to plain RR -- same pick stream, same pointer --
-  at uniform weights.
+  support for thread priorities"): the core's O(1) ring-walk arbiter,
+  whose steady-state shares are exactly proportional to thread weight,
+  and which degenerates to plain RR -- same pick stream, same pointer
+  -- at uniform weights. Table 2 runs it with default priorities
+  ("rr") and with weight 1 set explicitly ("wrr"); the independent
+  pick-for-pick check against a plain round-robin arbiter lives in the
+  test suite (``tests/rr_reference.py``).
 """
 
 from __future__ import annotations
@@ -61,19 +64,15 @@ loop:
 """
 
 
-def _spin_machine(policy: str, weights, horizon: int):
-    machine = build_machine(issue_policy=policy, smt_width=1,
-                            hw_threads_per_core=len(weights))
+def _spin_profile(weights, horizon: int) -> Dict[int, int]:
+    """Retirement per ptid; a ``None`` weight keeps the default."""
+    machine = build_machine(smt_width=1, hw_threads_per_core=len(weights))
     for ptid, weight in enumerate(weights):
         machine.load_asm(ptid, _SPIN, supervisor=True)
-        machine.core(0).set_priority(ptid, weight)
+        if weight is not None:
+            machine.core(0).set_priority(ptid, weight)
         machine.boot(ptid)
     machine.run(until=horizon)
-    return machine
-
-
-def _spin_profile(policy: str, weights, horizon: int) -> Dict[int, int]:
-    machine = _spin_machine(policy, weights, horizon)
     return {ptid: machine.thread(ptid).instructions_executed
             for ptid in range(len(weights))}
 
@@ -140,7 +139,7 @@ def run(quick: bool = False, seed: int = 0xC0FFEE) -> ExperimentResult:
                     "weight share"],
                    title=f"WRR issue shares, 3 always-runnable threads "
                          f"on 1 slot, {horizon} cycles")
-    wrr = _spin_profile("wrr", WEIGHTS, horizon)
+    wrr = _spin_profile(WEIGHTS, horizon)
     total = sum(wrr.values())
     weight_total = sum(WEIGHTS)
     worst_dev = 0.0
@@ -153,8 +152,8 @@ def run(quick: bool = False, seed: int = 0xC0FFEE) -> ExperimentResult:
     result.add_table(shares)
 
     # -- table 2: WRR degenerates to RR at uniform weights ------------
-    uniform_wrr = _spin_profile("wrr", (1, 1, 1), horizon)
-    uniform_rr = _spin_profile("rr", (1, 1, 1), horizon)
+    uniform_wrr = _spin_profile((1, 1, 1), horizon)
+    uniform_rr = _spin_profile((None, None, None), horizon)
     degenerate = Table(["ptid", "rr instructions", "wrr instructions"],
                        title="Uniform weights: WRR vs RR, same workload")
     for ptid in uniform_rr:

@@ -10,8 +10,8 @@
   generalized monitor/mwait over the write-watch bus.
 - :mod:`repro.hw.storage` -- the thread-state storage hierarchy (register
   file / L2 / L3 tiers with promotion and eviction).
-- :mod:`repro.hw.issue` -- SMT issue policies (fine-grain round-robin,
-  priority-weighted).
+- :mod:`repro.hw.issue` -- the SMT issue arbiter (fine-grain
+  round-robin, weighted by thread priority).
 - :mod:`repro.hw.core` -- the core: interprets programs for many ptids,
   multiplexing them onto a few SMT slots.
 - :mod:`repro.hw.chip` -- a multi-core chip sharing one memory system.
@@ -22,7 +22,7 @@
 from repro.hw.chip import Chip
 from repro.hw.core import HWCore
 from repro.hw.exceptions import ExceptionDescriptor, ExceptionKind
-from repro.hw.issue import PriorityWeightedIssue, RoundRobinIssue
+from repro.hw.issue import WeightedRoundRobinIssue
 from repro.hw.keys import KeyRegistry
 from repro.hw.monitor import MonitorUnit
 from repro.hw.ptid import HardwareThread, PtidState
@@ -38,11 +38,10 @@ __all__ = [
     "KeyRegistry",
     "MonitorUnit",
     "Permission",
-    "PriorityWeightedIssue",
     "PtidState",
-    "RoundRobinIssue",
     "StorageTier",
     "TdtEntry",
     "ThreadDescriptorTable",
     "ThreadStateStore",
+    "WeightedRoundRobinIssue",
 ]

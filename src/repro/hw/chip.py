@@ -24,7 +24,6 @@ class Chip:
                  costs: Optional[CostModel] = None,
                  security_model: str = "tdt",
                  rf_bytes: int = 64 * 1024,
-                 issue_policy_factory=None,
                  tracer: Optional[Any] = None,
                  fast_forward: bool = True,
                  predecode: bool = True):
@@ -37,11 +36,10 @@ class Chip:
         self.cores: List[HWCore] = []
         for core_id in range(cores):
             storage = ThreadStateStore(self.costs, rf_bytes=rf_bytes)
-            policy = issue_policy_factory() if issue_policy_factory else None
             self.cores.append(HWCore(
                 engine, memory, core_id=core_id, num_ptids=num_ptids,
-                smt_width=smt_width, costs=self.costs, issue_policy=policy,
-                storage=storage, security_model=security_model, tracer=tracer,
+                smt_width=smt_width, costs=self.costs, storage=storage,
+                security_model=security_model, tracer=tracer,
                 fast_forward=fast_forward, predecode=predecode))
 
     def core(self, core_id: int) -> HWCore:
@@ -85,6 +83,7 @@ class Chip:
                 and dest_core.predecode_enabled) else None
         dest.finished = source.finished
         dest.priority = source.priority
+        dest_core.arbiter.note_priority()
         dest.arch.load_snapshot(source.arch.snapshot())
         dest.arch.vector_dirty = source.arch.vector_dirty
         # cross-core transfer traverses the shared cache: L3-tier cost,

@@ -4,7 +4,7 @@ Execution model
 ---------------
 The core is one simulation process. Each *issue round* it picks up to
 ``smt_width`` issueable ptids (runnable, not mid-instruction) via the
-issue policy, executes one instruction for each, and advances one
+issue arbiter, executes one instruction for each, and advances one
 cycle. A multi-cycle instruction makes its thread busy until the cost
 elapses while other ptids keep issuing -- fine-grain interleaving, the
 paper's "emulates processor sharing". When no ptid is runnable the core
@@ -32,7 +32,7 @@ from repro.arch.costs import CostModel
 from repro.arch.registers import RegisterClass
 from repro.errors import ConfigError, GuestFault, IsaError, TripleFault
 from repro.hw.exceptions import ExceptionDescriptor, ExceptionKind
-from repro.hw.issue import RoundRobinIssue
+from repro.hw.issue import WeightedRoundRobinIssue
 from repro.hw.keys import KeyRegistry
 from repro.hw.monitor import MonitorUnit
 from repro.hw.ptid import HardwareThread, PtidState
@@ -53,7 +53,6 @@ class HWCore:
     def __init__(self, engine: Any, memory: Memory, core_id: int = 0,
                  num_ptids: int = 64, smt_width: int = 2,
                  costs: Optional[CostModel] = None,
-                 issue_policy: Optional[Any] = None,
                  storage: Optional[ThreadStateStore] = None,
                  security_model: str = "tdt",
                  tracer: Optional[Any] = None,
@@ -70,12 +69,11 @@ class HWCore:
         self.core_id = core_id
         self.smt_width = smt_width
         self.costs = costs or CostModel()
-        self.issue_policy = issue_policy or RoundRobinIssue()
+        self.arbiter = WeightedRoundRobinIssue()
         self.storage = storage or ThreadStateStore(self.costs)
         self.security_model = security_model
         self.tracer = tracer
-        # observability (attach_obs): all None when uninstrumented, and
-        # the issue loop picks an entirely unguarded body in that case
+        # observability (attach_obs): all None when uninstrumented
         self.timeline: Optional[Any] = None
         self.profile: Optional[Any] = None
         self.metrics: Optional[Any] = None
@@ -154,7 +152,7 @@ class HWCore:
         thread = self.thread(ptid)
         thread.finished = False
         thread.make_runnable()
-        self._note_enqueue(thread)
+        self.arbiter.note_enqueue(thread)
         self._wake.fire()
 
     def api_start(self, ptid: int, charge: bool = True) -> int:
@@ -170,7 +168,7 @@ class HWCore:
             thread.finished = False
             thread.make_runnable(reason="restart")
             thread.starts += 1
-            self._note_enqueue(thread)
+            self.arbiter.note_enqueue(thread)
             self._wake.fire()
         return latency
 
@@ -180,7 +178,7 @@ class HWCore:
         thread.monitor.cancel()
         thread.make_disabled()
         thread.stops += 1
-        self._note_forget(thread)
+        self.arbiter.forget(thread.ptid)
         # a stop shrinks the issueable pool: interrupt any in-flight
         # fast-forward batch so the loop re-plans against the new set
         self._wake.fire()
@@ -189,6 +187,7 @@ class HWCore:
         if priority < 1:
             raise ConfigError(f"priority must be >= 1, got {priority}")
         self.thread(ptid).priority = priority
+        self.arbiter.note_priority()
         # priorities feed the issue order; re-plan any in-flight batch
         self._wake.fire()
 
@@ -207,8 +206,8 @@ class HWCore:
         """Wire a :class:`repro.obs.MachineObs` bundle into this core.
 
         Must happen before the engine first dispatches the issue loop
-        (``Machine.__init__`` does; the loop body picks its
-        instrumented/plain variant on first resume).
+        (``Machine.__init__`` does; the loop reads ``profile`` once, on
+        its first resume).
         """
         self.timeline = obs.timeline
         self.profile = obs.profiler.core(self.core_id)
@@ -221,26 +220,25 @@ class HWCore:
     # the issue loop
     # ==================================================================
     def _run(self):
-        # One-time fork, evaluated at the first engine dispatch (after
-        # Machine.__init__ has had its chance to attach_obs): the plain
-        # body is byte-for-byte the uninstrumented loop, so disabled
-        # instrumentation costs not even a branch per round.
-        if self.profile is None:
-            yield from self._run_plain()
-        else:
-            yield from self._run_instrumented()
-
-    def _run_plain(self):
         engine = self.engine
         threads = self.threads
         RUNNABLE = PtidState.RUNNABLE
+        WAITING = PtidState.WAITING
         # per-core constants and bound methods, hoisted out of the
-        # per-round body (this loop resumes once per simulated cycle)
+        # per-round body (this loop resumes once per simulated cycle).
+        # `profile` is read at the first engine dispatch, after
+        # Machine.__init__ has had its chance to attach_obs.
         ff_enabled = self.fast_forward_enabled
         width = self.smt_width
-        select = self.issue_policy.select
+        select = self.arbiter.select
         issue_one = self._issue_one
         wake = self._wake
+        profile = self.profile
+        # Profiler attribution (obs/profile.py): a pend() before every
+        # yield and a settle() on resume put every cycle the loop lives
+        # through in exactly one bucket, so the per-core buckets sum to
+        # engine.now. Attribution only observes: it never changes what
+        # the loop does or how long it sleeps.
         while not self.halted:
             # ptid-ordered by construction (threads is ptid-ordered);
             # any state transition clears the cache
@@ -250,33 +248,65 @@ class HWCore:
                 self._runnable_cache = runnable
             if not runnable:
                 idle_from = engine.now
+                if profile is not None:
+                    # a wait with parked threads is the paper's mwait
+                    # block; with none it is true idle (nothing loaded
+                    # or all stopped)
+                    parked = any(t.state is WAITING for t in threads)
+                    profile.pend("mwait" if parked else "idle", idle_from)
                 yield wake
+                if profile is not None:
+                    profile.settle(engine.now)
                 self.idle_cycles += engine.now - idle_from
                 continue
             now = engine._now
             issueable = [t for t in runnable if t.busy_until <= now]
             if not issueable:
                 next_free = min(t.busy_until for t in runnable)
+                if profile is not None:
+                    profile.pend("stall", now)
                 yield next_free - now
+                if profile is not None:
+                    profile.settle(engine.now)
                 continue
             if ff_enabled:
                 plan = self._plan_fast_forward(runnable, issueable, now)
                 if plan is not None:
                     cycles, lazy, contended = plan
+                    if profile is not None:
+                        profile.pend("fastforward", now)
                     if not lazy:
-                        done = self._apply_fast_forward(
+                        yield self._apply_fast_forward(
                             issueable, cycles, contended, now)
-                        yield done
+                        if profile is not None:
+                            profile.settle(engine.now)
                         continue
                     # interruptible batch: a step event (another core's
                     # resume) falls inside the window, so park until the
                     # timeout or a wake and account whatever elapsed
                     yield AnyOf((cycles, wake))
+                    if profile is not None:
+                        profile.settle(engine.now)
                     elapsed = engine.now - now
                     if elapsed:
                         self._apply_fast_forward(
                             issueable, elapsed, contended, now)
                     continue
+            if profile is not None:
+                # Attribution must be a pure function of simulation
+                # state, never of whether a batch plan happened to fire
+                # (the plan horizon reads the host engine's foreign-event
+                # queue, which differs between a single-engine and a
+                # sharded run): a round where every issueable thread is
+                # mid-`work` -- the exact trigger condition of
+                # _plan_fast_forward -- is a work-burn ("fastforward")
+                # cycle whether it was batched or stepped. Evaluate
+                # before issuing, which decrements.
+                bucket = "fastforward"
+                for thread in issueable:
+                    if thread.work_remaining <= 0:
+                        bucket = "issue"
+                        break
             picked = select(issueable, width)
             self.issue_rounds += 1
             for thread in picked:
@@ -286,89 +316,19 @@ class HWCore:
             # and park again until the earliest busy_until -- skip the
             # intermediate resume and sleep there directly. (State
             # changes from outside land at their own simulation times
-            # either way; the skipped resume had no side effects.)
+            # either way; the skipped resume had no side effects.) The
+            # profiler still sees the round's own cycle, then the stall.
             runnable = self._runnable_cache
+            delta = 1
             if runnable:
-                next_free = min(t.busy_until for t in runnable)
-                delta = next_free - now
-                yield delta if delta > 1 else 1
-            else:
-                yield 1
-
-    def _run_instrumented(self):
-        # Mirror of _run_plain with profiler attribution: a pend() is
-        # declared before every yield and settled on resume, so every
-        # cycle the loop lives through lands in exactly one bucket and
-        # the per-core buckets sum to engine.now (obs/profile.py).
-        engine = self.engine
-        threads = self.threads
-        profile = self.profile
-        RUNNABLE = PtidState.RUNNABLE
-        WAITING = PtidState.WAITING
-        while not self.halted:
-            runnable = self._runnable_cache
-            if runnable is None:
-                runnable = [t for t in threads if t.state is RUNNABLE]
-                self._runnable_cache = runnable
-            if not runnable:
-                idle_from = engine.now
-                # a wait with parked threads is the paper's mwait block;
-                # with none it is true idle (nothing loaded/all stopped)
-                if any(t.state is WAITING for t in threads):
-                    profile.pend("mwait", idle_from)
-                else:
-                    profile.pend("idle", idle_from)
-                yield self._wake
+                delta = min(t.busy_until for t in runnable) - now
+                if delta < 1:
+                    delta = 1
+            if profile is not None:
+                profile.pend_split(bucket, now, "stall")
+            yield delta
+            if profile is not None:
                 profile.settle(engine.now)
-                self.idle_cycles += engine.now - idle_from
-                continue
-            now = engine.now
-            issueable = [t for t in runnable if t.busy_until <= now]
-            if not issueable:
-                next_free = min(t.busy_until for t in runnable)
-                profile.pend("stall", now)
-                yield next_free - now
-                profile.settle(engine.now)
-                continue
-            if self.fast_forward_enabled:
-                plan = self._plan_fast_forward(runnable, issueable, now)
-                if plan is not None:
-                    cycles, lazy, contended = plan
-                    if not lazy:
-                        done = self._apply_fast_forward(
-                            issueable, cycles, contended, now)
-                        profile.pend("fastforward", now)
-                        yield done
-                        profile.settle(engine.now)
-                        continue
-                    profile.pend("fastforward", now)
-                    yield AnyOf((cycles, self._wake))
-                    profile.settle(engine.now)
-                    elapsed = engine.now - now
-                    if elapsed:
-                        self._apply_fast_forward(
-                            issueable, elapsed, contended, now)
-                    continue
-            picked = self.issue_policy.select(issueable, self.smt_width)
-            self.issue_rounds += 1
-            # Attribution must be a pure function of simulation state,
-            # never of whether a batch plan happened to fire (the plan
-            # horizon reads the host engine's foreign-event queue, which
-            # differs between a single-engine and a sharded run): a
-            # round where every issueable thread is mid-`work` -- the
-            # exact trigger condition of _plan_fast_forward -- is a
-            # work-burn ("fastforward") cycle whether it was batched or
-            # stepped. Evaluate before issuing, which decrements.
-            burn = True
-            for thread in issueable:
-                if thread.work_remaining <= 0:
-                    burn = False
-                    break
-            for thread in picked:
-                self._issue_one(thread)
-            profile.pend("fastforward" if burn else "issue", now)
-            yield 1
-            profile.settle(engine.now)
 
     def _plan_fast_forward(self, thread_list, issueable, now: int):
         """Plan a busy-cycle batch that cannot change anything mid-way.
@@ -399,6 +359,13 @@ class HWCore:
                 return None
             if min_work is None or w < min_work:
                 min_work = w
+        n = len(issueable)
+        width = self.smt_width
+        contended = n > width
+        if contended and not self.arbiter.uniform(issueable):
+            # unequal weights: the credit walk's pick pattern is not
+            # rotation-periodic, so step the contended rounds one by one
+            return None
         horizon = min_work
         for t in thread_list:
             b = t.busy_until
@@ -411,35 +378,21 @@ class HWCore:
         until = engine.run_until
         if until is not None and until - now < horizon:
             horizon = until - now
-        n = len(issueable)
-        width = self.smt_width
-        policy = self.issue_policy
-        if n <= width:
+        if not contended:
             # no slot contention: every thread burns one cycle per round
             if horizon < 2:
                 return None
-            if getattr(policy, "advance_rounds", None) is None:
-                return None
             cycles = horizon
-            contended = False
         else:
-            # contention: only a rotation-invariant policy (round-robin)
-            # is provably periodic -- any n consecutive rounds over a
-            # stable n-thread set pick every thread exactly `width` times
-            if not getattr(policy, "rotation_invariant", False):
-                return None
+            # uniform weights pick in round-robin rotation, which is
+            # periodic: any n consecutive rounds over a stable n-thread
+            # set pick every thread exactly `width` times
             blocks = min(min_work // width, horizon // n)
             cycles = blocks * n
             if cycles < 2:
                 return None
-            contended = True
         step = engine._next_step_time()
         lazy = step is not None and step < now + cycles
-        if lazy and not contended and not getattr(
-                policy, "full_pick_uncontended", False):
-            # a lazy batch defers select() to resume time, which is only
-            # sound when the policy picks the whole uncontended set
-            return None
         return cycles, lazy, contended
 
     def _apply_fast_forward(self, issueable, rounds: int, contended: bool,
@@ -447,40 +400,31 @@ class HWCore:
         """Account ``rounds`` issue rounds of a planned batch.
 
         Replays the exact per-round bookkeeping (``cycles_busy``,
-        ``issue_rounds``, storage recency order, policy state) naive
-        stepping would have produced over cycles ``now .. now+rounds``,
-        so a fast-forwarded run is indistinguishable from naive stepping
-        except for ``events_processed``. For a lazy batch ``rounds`` may
-        be any prefix of the planned cycles (the wake interrupted the
-        wait). Returns the cycles consumed (the eager caller yields it).
+        ``issue_rounds``, storage recency order, the arbiter's rotation
+        pointer) naive stepping would have produced over cycles
+        ``now .. now+rounds``, so a fast-forwarded run is
+        indistinguishable from naive stepping except for
+        ``events_processed``. For a lazy batch ``rounds`` may be any
+        prefix of the planned cycles (the wake interrupted the wait).
+        Returns the cycles consumed (the eager caller yields it).
         """
-        policy = self.issue_policy
+        arbiter = self.arbiter
         n = len(issueable)
         touch = self.storage.touch
+        end = now + rounds
         if not contended:
-            picked = policy.select(issueable, self.smt_width)
-            if len(picked) != n:
-                # an opted-in policy left slots empty; the select already
-                # charged its state, so finish this one round naively
-                # (unreachable from the lazy path, which requires
-                # full_pick_uncontended)
-                self.issue_rounds += 1
-                for thread in picked:
-                    self._issue_one(thread)
-                return 1
-            order = policy.advance_rounds(picked, rounds - 1) \
-                if rounds >= 2 else picked
-            end = now + rounds
-            for t in picked:
+            # an uncontended select picks the whole pool in rotation
+            # order and leaves pointer and credits unchanged, so every
+            # round of the batch repeats the first one's picks and order
+            for t in arbiter.select(issueable, self.smt_width):
                 t.work_remaining -= rounds
                 t.cycles_busy += rounds
                 t.busy_until = end
-            for t in order:
                 touch(t.ptid)
             self.issue_rounds += rounds
             return rounds
         # contended round robin: replay the pick stream arithmetically.
-        # Over `rounds` rounds the policy picks `rounds * width`
+        # Over `rounds` rounds the arbiter picks `rounds * width`
         # consecutive rotation positions starting at `_next`; thread j
         # (in ptid order) is picked once per full wrap plus once more if
         # its position falls inside the remainder.
@@ -488,8 +432,7 @@ class HWCore:
         total = rounds * width
         base, rem = divmod(total, n)
         ordered = sorted(issueable, key=lambda t: t.ptid)
-        start = policy._next % n
-        end = now + rounds
+        start = arbiter._next % n
         for j, t in enumerate(ordered):
             cnt = base + (1 if (j - start) % n < rem else 0)
             if cnt:
@@ -501,7 +444,7 @@ class HWCore:
         # all LRU ever sees
         for k in range(max(0, total - n), total):
             touch(ordered[(start + k) % n].ptid)
-        policy._next = (start + total) % n
+        arbiter._next = (start + total) % n
         self.issue_rounds += rounds
         return rounds
 
@@ -761,7 +704,7 @@ class HWCore:
             target.finished = False
             target.make_runnable(reason="restart")
             target.starts += 1
-            self._note_enqueue(target)
+            self.arbiter.note_enqueue(target)
             self._wake.fire()
         return extra
 
@@ -773,7 +716,7 @@ class HWCore:
         disarm = target.monitor.cancel()
         target.make_disabled()
         target.stops += 1
-        self._note_forget(target)
+        self.arbiter.forget(target.ptid)
         return extra + self.costs.hw_stop_cycles + disarm
 
     def _op_rpull(self, thread, ops):
@@ -922,7 +865,7 @@ class HWCore:
         descriptor.write(self.memory, edp)
         thread.monitor.cancel()
         thread.make_disabled()
-        self._note_forget(thread)
+        self.arbiter.forget(thread.ptid)
         if self.tracer is not None:
             self.tracer.emit("exception", f"ptid{thread.ptid} {kind.name}",
                              pc=faulting_pc, address=address)
@@ -944,7 +887,7 @@ class HWCore:
         thread.finished = True
         thread.monitor.cancel()
         thread.make_disabled()
-        self._note_forget(thread)
+        self.arbiter.forget(thread.ptid)
 
     def _materialize_fused(self, thread: HardwareThread) -> None:
         """Rewind an interrupted fused superinstruction (cold path).
@@ -976,19 +919,6 @@ class HWCore:
         self.instructions_retired -= rollback
         thread.work_remaining = 0
 
-    def _note_enqueue(self, thread: HardwareThread) -> None:
-        note = getattr(self.issue_policy, "note_enqueue", None)
-        if note is not None:
-            note(thread)
-
-    def _note_forget(self, thread: HardwareThread) -> None:
-        # only policies that opt in (the WRR arbiter) see retirements;
-        # calling PriorityWeightedIssue.forget here would erase the
-        # virtual-time debt its re-entry clamp depends on
-        policy = self.issue_policy
-        if getattr(policy, "wants_forget", False):
-            policy.forget(thread.ptid)
-
     def _idle_ptids(self) -> List[int]:
         """Contexts safe to demote from the register file."""
         return [t.ptid for t in self.threads if not t.runnable]
@@ -998,7 +928,7 @@ class HWCore:
             if thread.state is PtidState.WAITING:
                 thread.make_runnable()
                 thread.wakeups += 1
-                self._note_enqueue(thread)
+                self.arbiter.note_enqueue(thread)
                 latency = self.storage.start_latency(
                     thread.ptid, self._idle_ptids())
                 wake_cost = self.costs.monitor_wakeup_cycles + latency

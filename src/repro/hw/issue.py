@@ -1,4 +1,4 @@
-"""SMT issue policies.
+"""The SMT issue arbiter.
 
 Paper, Section 4 ("Support for Thread Scheduling"): "A simple way to
 meet this requirement is to execute runnable hardware threads in a
@@ -7,196 +7,28 @@ fine-grain, round-robin (RR) manner, which emulates processor sharing
 for thread priorities (e.g., threads used for serving time-sensitive
 interrupts receive more cycles)."
 
-A policy picks, each issue round, up to ``width`` threads out of the
-currently issueable set. Policies are stateful (rotation pointers,
-credit counters) but see only ptids, never programs.
+One arbiter does both: each issue round it picks up to ``width``
+threads out of the currently issueable set, in plain round-robin order
+while the pool's weights (thread priorities) are uniform and by a
+weighted credit walk when they are not. It is stateful (a rotation
+pointer, credit counters) but sees only ptids and priorities, never
+programs.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.hw.ptid import HardwareThread
 
 _by_ptid = operator.attrgetter("ptid")
 
 
-class _OrderCache:
-    """Memoized ptid-ordering of the issueable pool.
-
-    The core rebuilds ``issueable`` every round, but its membership (and
-    order -- the core iterates threads in ptid order) is stable for long
-    stretches, so policies were paying an O(n log n) sort per round for
-    an order that almost never changed. The cache keeps the last ordered
-    pool and revalidates with a single list equality check (elementwise
-    identity, O(n), no allocation); only a genuine membership change
-    re-sorts. Epoch counters cannot replace the check: a thread rejoins
-    the issueable pool by ``busy_until`` expiry, which no event marks.
-    """
-
-    __slots__ = ("_ordered",)
-
-    def __init__(self) -> None:
-        self._ordered: List[HardwareThread] = []
-
-    def ordered(self, issueable: List[HardwareThread]) -> List[HardwareThread]:
-        ordered = self._ordered
-        if issueable != ordered:
-            ordered = sorted(issueable, key=_by_ptid)
-            self._ordered = ordered
-        return ordered
-
-
-class RoundRobinIssue:
-    """Fine-grain RR: rotate through issueable ptids each round.
-
-    The rotation is periodic, which is what makes the core's busy-cycle
-    fast-forward possible: when every issueable thread is picked each
-    round (no slot contention), repeating the round leaves the rotation
-    pointer unchanged, and under contention any ``n`` consecutive rounds
-    over a stable ``n``-thread set pick every thread exactly ``width``
-    times and return the pointer to its starting value (``n * width`` is
-    a multiple of ``n``). Both facts are relied on by
-    :meth:`repro.hw.core.HWCore._plan_fast_forward`.
-    """
-
-    name = "round-robin"
-    #: consecutive identical rounds permute deterministically -- the core
-    #: may batch contended rounds in whole rotations (see module note).
-    rotation_invariant = True
-    #: with ``n <= width``, :meth:`select` always returns all ``n``
-    #: threads -- required before the core may defer the select of an
-    #: interruptible (lazy) batch to resume time.
-    full_pick_uncontended = True
-
-    def __init__(self) -> None:
-        self._next = 0
-        self._order = _OrderCache()
-
-    def note_enqueue(self, thread: HardwareThread) -> None:
-        """A ptid became runnable (wakeup/start). RR has no state to fix."""
-
-    def select(self, issueable: List[HardwareThread], width: int) -> List[HardwareThread]:
-        if not issueable:
-            return []
-        n = len(issueable)
-        if n == 1:
-            # the dominant case on lightly loaded cores; the general
-            # arithmetic below reduces to picking the one thread and
-            # parking the pointer at 0 ((start + 1) % 1)
-            self._next = 0
-            return [issueable[0]]
-        ordered = self._order.ordered(issueable)
-        start = self._next % n
-        picked = [ordered[(start + i) % n] for i in range(min(width, n))]
-        self._next = (start + len(picked)) % n
-        return picked
-
-    def advance_rounds(self, picked: List[HardwareThread],
-                       rounds: int) -> List[HardwareThread]:
-        """Replay ``rounds`` uncontended rounds that pick exactly ``picked``.
-
-        With every issueable thread picked, :meth:`select` advances the
-        rotation pointer by ``n (mod n)`` -- a no-op -- and the pick
-        order never changes, so the last round's order is ``picked``.
-        """
-        return picked
-
-    def fill_metrics(self, registry, prefix: str) -> None:
-        """Snapshot-time harvest (nothing is recorded on the hot path)."""
-        registry.set(f"{prefix}.rotation_next", self._next)
-
-
-class PriorityWeightedIssue:
-    """Virtual-time weighted fair issue: a priority-p thread gets p shares.
-
-    Each pick advances the thread's virtual time by ``1/priority``; the
-    ``width`` lowest-virtual-time threads issue each round. Steady-state
-    issue rates are exactly proportional to priority and no backlogged
-    thread starves (an unserved thread's virtual time never advances, so
-    it is eventually the minimum).
-
-    Re-entry (classic WFQ): a thread that was waiting or disabled keeps
-    a stale, tiny virtual time; replaying it verbatim would let *any*
-    woken thread monopolize the pipeline until its debt "caught up",
-    erasing priority distinctions exactly when they matter (a wakeup
-    into a busy core). The core therefore calls :meth:`note_enqueue`
-    whenever a ptid becomes runnable, which clamps its virtual time to
-    the system virtual time (the minimum among recently served
-    threads) -- from that shared origin, a priority-p thread advances
-    p-times slower and receives p shares.
-    """
-
-    name = "priority-weighted"
-    #: with ``n <= width`` the ``width`` lowest-virtual-time threads are
-    #: all of them: uncontended selects are total (see RoundRobinIssue).
-    full_pick_uncontended = True
-
-    def __init__(self) -> None:
-        self._vtime: Dict[int, float] = {}
-        self._system_vtime = 0.0
-
-    def note_enqueue(self, thread: HardwareThread) -> None:
-        """Clamp a (re)joining ptid to the system virtual time."""
-        current = self._vtime.get(thread.ptid, self._system_vtime)
-        self._vtime[thread.ptid] = max(current, self._system_vtime)
-
-    def select(self, issueable: List[HardwareThread], width: int) -> List[HardwareThread]:
-        if not issueable:
-            return []
-        for thread in issueable:
-            self._vtime.setdefault(thread.ptid, self._system_vtime)
-        ordered = sorted(issueable, key=lambda t: (self._vtime[t.ptid], t.ptid))
-        picked = ordered[:width]
-        for thread in picked:
-            self._vtime[thread.ptid] += 1.0 / max(thread.priority, 1)
-        self._system_vtime = max(self._system_vtime,
-                                 min(self._vtime[t.ptid] for t in issueable))
-        return picked
-
-    def advance_rounds(self, picked: List[HardwareThread],
-                       rounds: int) -> List[HardwareThread]:
-        """Replay ``rounds`` uncontended rounds that pick exactly ``picked``.
-
-        Repeats the per-round virtual-time increment with the same
-        floating-point operation order as ``rounds`` calls to
-        :meth:`select` would use, so fast-forwarded and naive runs stay
-        bit-identical. The system-virtual-time update telescopes (the
-        per-round minimum is non-decreasing, so only the final round's
-        minimum can raise it), and the returned list reproduces the
-        *last* round's pick order -- threads with different priorities
-        drift apart in virtual time, so the order can change mid-batch.
-        """
-        vtime = self._vtime
-        before_last = {}
-        for thread in picked:
-            increment = 1.0 / max(thread.priority, 1)
-            value = vtime[thread.ptid]
-            for _ in range(rounds - 1):
-                value += increment
-            before_last[thread.ptid] = value
-            vtime[thread.ptid] = value + increment
-        self._system_vtime = max(self._system_vtime,
-                                 min(vtime[t.ptid] for t in picked))
-        return sorted(picked, key=lambda t: (before_last[t.ptid], t.ptid))
-
-    def fill_metrics(self, registry, prefix: str) -> None:
-        """Snapshot-time harvest (nothing is recorded on the hot path)."""
-        registry.set(f"{prefix}.system_vtime", round(self._system_vtime, 6))
-        registry.set(f"{prefix}.tracked_threads", len(self._vtime))
-
-    def forget(self, ptid: int) -> None:
-        """Drop bookkeeping for a retired ptid."""
-        self._vtime.pop(ptid, None)
-
-
 class WeightedRoundRobinIssue:
     """Credit-based weighted round-robin: sort-free hardware arbitration.
 
-    The hardware-faithful counterpart of :class:`PriorityWeightedIssue`:
-    where WFQ re-sorts the pool by float virtual times every round, this
-    arbiter walks a ptid-ordered ring with a rotation pointer and an
+    The arbiter walks a ptid-ordered ring with a rotation pointer and an
     integer *credit* (deficit) counter per thread -- exactly the
     register-and-comparator structure an SMT pick stage can implement.
     Each pick consumes one credit; when no unpicked thread holds credit
@@ -207,35 +39,39 @@ class WeightedRoundRobinIssue:
     (experiment E18 measures this), and no thread starves -- every frame
     serves everyone at least once.
 
-    A pool of uniform weights bypasses the credit walk and runs RR's
-    pointer arithmetic directly, so the pick stream is *identical* to
-    :class:`RoundRobinIssue` -- even as threads join and leave -- with
-    credits left untouched (E18's second claim; the hypothesis suite
-    diffs the streams under churn).
-    Re-entry: :meth:`note_enqueue` grants a joining thread a fresh
-    weight of credit, matching RR's memorylessness; :meth:`forget`
-    (called by the core for disabled ptids -- ``wants_forget``) drops
-    its counter.
+    A pool of uniform weights bypasses the credit walk and runs plain
+    round-robin pointer arithmetic, credits untouched: any ``n``
+    consecutive rounds over a stable ``n``-thread pool pick every thread
+    exactly ``width`` times and return the pointer to its start. That
+    periodicity is what lets :meth:`repro.hw.core.HWCore._plan_fast_forward`
+    batch contended rounds, so the core asks :meth:`uniform` before it
+    does. Uncontended rounds (``n <= width``) pick the whole pool in
+    rotation order and leave pointer and credits unchanged, whatever
+    the weights.
 
-    Fast-forward contracts: uncontended selects pick the whole pool in
-    rotation order without touching credits (no contention means no
-    fairness accounting), so ``full_pick_uncontended`` holds and
-    :meth:`advance_rounds` is a no-op replay, exactly like RR.
-    Contended batching is declined (``rotation_invariant = False``):
-    with unequal weights the pick pattern is not rotation-periodic, so
-    the planner honestly falls back to per-round stepping there.
+    Uniformity is cached next to the ptid ordering of the last pool: it
+    is derived again when the pool's membership changes, and the core
+    drops it (:meth:`note_priority`) on every priority write.
+    Re-entry: :meth:`note_enqueue` grants a joining thread a fresh
+    weight of credit; :meth:`forget` (called by the core for disabled
+    ptids) drops its counter.
     """
 
     name = "weighted-round-robin"
-    rotation_invariant = False
-    full_pick_uncontended = True
-    #: opt-in: the core calls :meth:`forget` when a ptid is disabled
-    wants_forget = True
 
     def __init__(self) -> None:
         self._next = 0
         self._credit: Dict[int, int] = {}
-        self._order = _OrderCache()
+        # The core rebuilds `issueable` every round, but its membership
+        # is stable for long stretches: keep the last pool in ptid order
+        # and revalidate with one list equality check (elementwise
+        # identity, O(n), no allocation). Epoch counters cannot replace
+        # the check: a thread rejoins the pool by `busy_until` expiry,
+        # which no event marks.
+        self._ordered: List[HardwareThread] = []
+        #: whether every thread in ``_ordered`` has the same weight
+        #: (None: not derived since the pool or a priority changed)
+        self._uniform: Optional[bool] = None
 
     @staticmethod
     def _weight(thread: HardwareThread) -> int:
@@ -245,37 +81,69 @@ class WeightedRoundRobinIssue:
         """A (re)joining ptid gets a fresh frame's worth of credit."""
         self._credit[thread.ptid] = self._weight(thread)
 
+    def note_priority(self) -> None:
+        """A thread's weight changed: derive uniformity again."""
+        self._uniform = None
+
     def forget(self, ptid: int) -> None:
         """Drop the credit counter of a disabled/retired ptid."""
         self._credit.pop(ptid, None)
 
+    def _pool(self, issueable: List[HardwareThread]) -> List[HardwareThread]:
+        ordered = self._ordered
+        if issueable != ordered:
+            ordered = self._ordered = sorted(issueable, key=_by_ptid)
+            self._uniform = None
+        return ordered
+
+    def _derive_uniform(self, ordered: List[HardwareThread]) -> bool:
+        weight = self._weight
+        first = weight(ordered[0])
+        uniform = self._uniform = all(weight(t) == first for t in ordered)
+        return uniform
+
+    def uniform(self, issueable: List[HardwareThread]) -> bool:
+        """Whether ``issueable`` (non-empty) is picked in plain RR order."""
+        ordered = self._pool(issueable)
+        uniform = self._uniform
+        if uniform is None:
+            uniform = self._derive_uniform(ordered)
+        return uniform
+
     def select(self, issueable: List[HardwareThread], width: int) -> List[HardwareThread]:
-        if not issueable:
+        n = len(issueable)
+        if n == 1:
+            # the dominant case on lightly loaded cores; the general
+            # arithmetic below reduces to picking the one thread and
+            # parking the pointer at 0 ((start + 1) % 1)
+            self._next = 0
+            return [issueable[0]]
+        if not n:
             return []
-        ordered = self._order.ordered(issueable)
-        n = len(ordered)
+        ordered = self._pool(issueable)
         start = self._next % n
         if n <= width:
             # uncontended: everyone issues; weights (and credits) are
             # irrelevant when there is nothing to arbitrate. The pick
-            # order rotates like RR; the pointer advances by n = 0 mod n,
-            # stored normalized (exactly as RR's arithmetic leaves it, so
-            # the streams stay identical when the pool later grows)
+            # order rotates; the pointer advances by n = 0 mod n, stored
+            # normalized so the stream stays RR's when the pool grows
             self._next = start
-            return [ordered[(start + i) % n] for i in range(n)]
-        first_weight = self._weight(ordered[0])
-        if all(self._weight(t) == first_weight for t in ordered):
-            # uniform weights: there is nothing to weight, so the credit
-            # machinery is bypassed entirely and the arbiter IS plain RR
-            # (same pointer arithmetic, credits untouched). Credits
+            return ordered[start:] + ordered[:start]
+        uniform = self._uniform
+        if uniform is None:
+            uniform = self._derive_uniform(ordered)
+        if uniform:
+            # nothing to weight: plain RR, credits untouched. Credits
             # carry cross-round memory RR does not have -- a thread that
             # spent its credit just before the pool changed would be
             # skipped where RR would pick it -- so pick-for-pick
             # equality under churn requires the bypass, not just a
             # never-skipping walk (the hypothesis suite pins this).
-            picked = [ordered[(start + i) % n] for i in range(width)]
-            self._next = (start + width) % n
-            return picked
+            end = start + width
+            self._next = end % n
+            if end <= n:
+                return ordered[start:end]
+            return ordered[start:] + ordered[:end - n]
         credit = self._credit
         picked: List[HardwareThread] = []
         picked_ids = set()
@@ -306,16 +174,6 @@ class WeightedRoundRobinIssue:
                         credit.get(other.ptid, 0) + self._weight(other)
                 scanned = 0
         self._next = position
-        return picked
-
-    def advance_rounds(self, picked: List[HardwareThread],
-                       rounds: int) -> List[HardwareThread]:
-        """Replay ``rounds`` uncontended rounds (see RoundRobinIssue).
-
-        Uncontended selects leave both the pointer and the credit map
-        untouched, so the replay is stateless and the last round's pick
-        order is ``picked`` itself.
-        """
         return picked
 
     def fill_metrics(self, registry, prefix: str) -> None:

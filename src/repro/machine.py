@@ -16,7 +16,7 @@ build TDTs, run the simulation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
 from repro.arch.costs import CostModel
@@ -47,14 +47,13 @@ class MachineConfig:
     memory_bytes: int = 1 << 32
     strict_memory: bool = False
     security_model: str = "tdt"
-    issue_policy: str = "rr"  # "rr" | "priority" | "wrr"
     costs: CostModel = field(default_factory=CostModel)
     seed: int = 0xC0FFEE
     trace: bool = False
     #: full observability (metrics registry, per-ptid timelines, cycle
     #: profiler). Also implied for machines built inside an active
-    #: repro.obs session. Off: zero cost (the cores run an entirely
-    #: uninstrumented issue loop).
+    #: repro.obs session. Off, the issue loop skips every profiler call
+    #: behind one None check; on or off, the simulation is the same.
     instrument: bool = False
     #: busy-cycle fast-forward (see HWCore._plan_fast_forward); results are
     #: identical either way, only wall-clock differs. The
@@ -78,10 +77,6 @@ class MachineConfig:
             raise ConfigError("cores must be >= 1")
         if self.hw_threads_per_core < 1:
             raise ConfigError("hw_threads_per_core must be >= 1")
-        if self.issue_policy not in ("rr", "priority", "wrr"):
-            raise ConfigError(
-                f"issue_policy must be 'rr', 'priority', or 'wrr', "
-                f"got {self.issue_policy!r}")
         if self.coherence is not None:
             from repro.coherence.directory import MODEL_NAMES
             if self.coherence not in MODEL_NAMES:
@@ -111,20 +106,11 @@ class Machine:
         self.rngs = RngStreams(config.seed)
         self.memory = Memory(size_bytes=config.memory_bytes,
                              strict=config.strict_memory)
-        if config.issue_policy == "priority":
-            from repro.hw.issue import PriorityWeightedIssue
-            policy_factory = PriorityWeightedIssue
-        elif config.issue_policy == "wrr":
-            from repro.hw.issue import WeightedRoundRobinIssue
-            policy_factory = WeightedRoundRobinIssue
-        else:
-            policy_factory = None  # Chip defaults to round-robin
         self.chip = Chip(self.engine, self.memory, cores=config.cores,
                          num_ptids=config.hw_threads_per_core,
                          smt_width=config.smt_width, costs=config.costs,
                          security_model=config.security_model,
                          rf_bytes=config.rf_bytes,
-                         issue_policy_factory=policy_factory,
                          tracer=self.tracer,
                          fast_forward=config.fast_forward,
                          predecode=config.predecode)
@@ -132,8 +118,7 @@ class Machine:
         # observability: instrument when asked to, or when built inside
         # an active obs session (how the CLI instruments experiments).
         # Attaching here -- before the engine ever runs -- is what lets
-        # each core's issue loop pick its instrumented body on first
-        # dispatch.
+        # each core's issue loop find its profiler on first dispatch.
         import repro.obs as obs
         session = obs.active()
         self.obs: Optional[obs.MachineObs] = None
@@ -310,8 +295,15 @@ def build_machine(cores: int = 1, hw_threads_per_core: int = 64,
     """Build a machine with keyword overrides for any config field.
 
     ``engine`` (optional) shares a caller-owned event engine instead of
-    creating a private one.
+    creating a private one. An override that names no
+    :class:`MachineConfig` field raises :class:`ConfigError`.
     """
+    known = [f.name for f in fields(MachineConfig)]
+    unknown = sorted(set(overrides) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"unknown machine config field(s) {', '.join(unknown)}; "
+            f"known fields: {', '.join(known)}")
     config = MachineConfig(cores=cores,
                            hw_threads_per_core=hw_threads_per_core,
                            **overrides)

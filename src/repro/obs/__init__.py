@@ -9,11 +9,12 @@ Three collection primitives (see the sibling modules for details):
 - :class:`~repro.obs.profile.Profiler` -- per-core cycle attribution
   whose buckets sum exactly to ``engine.now``.
 
-Instrumentation is **off by default and zero-cost when off**: the hot
-paths check one attribute against ``None`` (the issue loop doesn't even
-do that -- it selects an entirely uninstrumented loop body once at
-startup).  Turn it on per machine with ``build_machine(instrument=True)``
-or for a whole region with a :func:`session`::
+Instrumentation is **off by default and nearly free when off**: the hot
+paths, the core's issue loop included, check one attribute against
+``None``.  It only observes: an instrumented machine runs exactly the
+simulation an uninstrumented one does.  Turn it on per machine with
+``build_machine(instrument=True)`` or for a whole region with a
+:func:`session`::
 
     with obs.session("E03") as sess:
         result = experiment.run(quick=True)

@@ -24,11 +24,11 @@ Buckets every simulated cycle of every core into exactly one of:
 The invariant -- checked by :meth:`CoreProfile.snapshot` consumers and
 the test suite -- is that the buckets sum *exactly* to ``engine.now``
 for every core on every run.  The core loop guarantees it by pairing a
-:meth:`CoreProfile.pend` before each ``yield`` with a
-:meth:`CoreProfile.settle` when it resumes, so wall-to-wall coverage
-holds even for waits of unknown length (Signal wakeups); whatever tail
-is still pending or unaccounted at snapshot time is charged to the
-pending bucket / ``idle`` respectively.
+:meth:`CoreProfile.pend` (or :meth:`CoreProfile.pend_split`) before
+each ``yield`` with a :meth:`CoreProfile.settle` when it resumes, so
+wall-to-wall coverage holds even for waits of unknown length (Signal
+wakeups); whatever tail is still pending or unaccounted at snapshot time
+is charged to the pending bucket(s) / ``idle`` respectively.
 """
 
 from __future__ import annotations
@@ -49,20 +49,28 @@ class CoreProfile:
     def __init__(self, core_id: int):
         self.core_id = core_id
         self.buckets: Dict[str, int] = {bucket: 0 for bucket in BUCKETS}
-        self._pending: Optional[Tuple[str, int]] = None
+        #: (first bucket, since, bucket for every cycle after the
+        #: first, or None when the first bucket takes them all)
+        self._pending: Optional[Tuple[str, int, Optional[str]]] = None
 
     def pend(self, bucket: str, since: int) -> None:
         """Declare that cycles from ``since`` until the next
         :meth:`settle` belong to ``bucket`` (called just before the core
         yields)."""
-        self._pending = (bucket, since)
+        self._pending = (bucket, since, None)
+
+    def pend_split(self, first: str, since: int, rest: str) -> None:
+        """Like :meth:`pend`, but only the cycle at ``since`` belongs to
+        ``first``; every later one belongs to ``rest``. An issue round
+        that parks straight into a stall is one ``first`` cycle, then
+        ``rest`` until the earliest busy thread frees."""
+        self._pending = (first, since, rest)
 
     def settle(self, now: int) -> None:
         """Close the pending interval at ``now`` (called when the core
         resumes)."""
         if self._pending is not None:
-            bucket, since = self._pending
-            self.buckets[bucket] += now - since
+            _close(self._pending, now, self.buckets)
             self._pending = None
 
     def charge(self, bucket: str, cycles: int) -> None:
@@ -86,8 +94,7 @@ class CoreProfile:
         """
         out = dict(self.buckets)
         if self._pending is not None:
-            bucket, since = self._pending
-            out[bucket] += now - since
+            _close(self._pending, now, out)
         accounted = sum(out.values())
         if accounted > now:
             raise ConfigError(
@@ -96,6 +103,17 @@ class CoreProfile:
         out["idle"] += now - accounted
         out["total"] = now
         return out
+
+
+def _close(pending: Tuple[str, int, Optional[str]], now: int,
+           buckets: Dict[str, int]) -> None:
+    """Charge a pending interval, closed at ``now``, into ``buckets``."""
+    bucket, since, rest = pending
+    cycles = now - since
+    if rest is not None and cycles > 1:
+        buckets[rest] += cycles - 1
+        cycles = 1
+    buckets[bucket] += cycles
 
 
 class Profiler:

@@ -52,8 +52,10 @@ from repro.obs.metrics import MetricsRegistry
 #: docs/observability.md is generated from this).
 NAMESPACE = {
     "engine": "event-loop totals (events processed, final cycle)",
-    "core{N}": "per-core issue/idle/wakeup counters and the "
-               "wakeup_latency_cycles histogram",
+    "core{N}": "per-core issue/idle/wakeup counters, the "
+               "wakeup_latency_cycles histogram, and the issue arbiter's "
+               "policy.* gauges (ring pointer, credited threads, "
+               "outstanding credit)",
     "storage{N}": "thread-state store tiers, promotions, demotions",
     "mem": "memory loads/stores and the watch bus",
     "mem.cache": "cache-hierarchy hits/misses/evictions",
@@ -117,9 +119,7 @@ def harvest_machine(machine, registry: MetricsRegistry) -> None:
         registry.inc(f"{prefix}.stops", sum(t.stops for t in threads))
         registry.inc(f"{prefix}.exceptions",
                      sum(t.exceptions_raised for t in threads))
-        fill = getattr(core.issue_policy, "fill_metrics", None)
-        if fill is not None:
-            fill(registry, f"{prefix}.policy")
+        core.arbiter.fill_metrics(registry, f"{prefix}.policy")
         storage = core.storage
         sprefix = f"storage{core.core_id}"
         registry.inc(f"{sprefix}.promotions", storage.promotions)

@@ -20,7 +20,7 @@ def _strip_events(stats):
     return {key: value for key, value in stats.items() if key != "events"}
 
 
-def _thread_fingerprint(machine, ptids):
+def _thread_fingerprint(machine, ptids, core_id=0):
     return [
         {
             "ptid": thread.ptid,
@@ -32,15 +32,42 @@ def _thread_fingerprint(machine, ptids):
             "exceptions": thread.exceptions_raised,
             "pc": thread.arch.pc,
         }
-        for thread in (machine.thread(p) for p in ptids)
+        for thread in (machine.thread(p, core_id) for p in ptids)
     ]
 
 
-def _run_contended(fast_forward: bool):
+#: a lone thread: movi at cycle 0, then ld (1), mul (7), div (10),
+#: st (22) and halt (28) -- every instruction after the first outlasts
+#: its issue cycle, so each of those rounds parks straight into a
+#: merged stall until the instruction completes
+LONE_MIXED = """
+    movi r1, BUF
+    ld r2, r1, 0
+    mul r3, r1, r1
+    div r4, r3, r1
+    st r1, 8, r3
+    halt
+"""
+
+
+def _run_lone_mixed(fast_forward: bool, instrument: bool = False):
+    machine = build_machine(cores=1, hw_threads_per_core=2,
+                            fast_forward=fast_forward,
+                            instrument=instrument, trace=True)
+    buf = machine.alloc("buf", 64)
+    machine.load_asm(0, LONE_MIXED, symbols={"BUF": buf.base},
+                     supervisor=True)
+    machine.boot(0)
+    machine.run()
+    return machine
+
+
+def _run_contended(fast_forward: bool, instrument: bool = False):
     """Contended SMT: 5 work-burst threads on 2 slots, plus a DMA-woken
     monitor sleeper and an exception-raising thread."""
     machine = build_machine(cores=1, hw_threads_per_core=8, smt_width=2,
-                            fast_forward=fast_forward, trace=True)
+                            fast_forward=fast_forward,
+                            instrument=instrument, trace=True)
     box = machine.alloc("box", 64)
     edp = machine.alloc("edp", 256)
     for ptid in range(5):
@@ -78,11 +105,10 @@ def _run_contended(fast_forward: bool):
 
 
 def _run_uncontended_priority(fast_forward: bool):
-    """Uncontended slots with the weighted-fair policy (the float
-    virtual-time replay path of ``advance_rounds``)."""
+    """Uncontended slots with unequal priorities: the batch replays
+    full-pool picks whatever the weights."""
     machine = build_machine(cores=1, hw_threads_per_core=4, smt_width=2,
-                            fast_forward=fast_forward,
-                            issue_policy="priority", trace=True)
+                            fast_forward=fast_forward, trace=True)
     machine.core(0).set_priority(0, 4)
     machine.load_asm(0, "work 5000\nmovi r9, 1\nhalt", supervisor=True)
     machine.load_asm(1, "work 3000\nmovi r9, 2\nhalt", supervisor=True)
@@ -92,13 +118,33 @@ def _run_uncontended_priority(fast_forward: bool):
     return machine
 
 
-def _run_multicore(fast_forward: bool):
+def _run_contended_priority(fast_forward: bool):
+    """Contended slots whose weights change mid-run from engine events:
+    unequal weights step every round through the credit walk, equal
+    ones batch whole rotations again, and each change re-plans."""
+    machine = build_machine(cores=1, hw_threads_per_core=4, smt_width=2,
+                            fast_forward=fast_forward, trace=True)
+    core = machine.core(0)
+    for ptid in range(4):
+        machine.load_asm(ptid, f"work {3000 + 250 * ptid}\nhalt",
+                         supervisor=True)
+        machine.boot(ptid)
+    core.set_priority(0, 3)
+    machine.engine.at(900, core.set_priority, 0, 1)
+    machine.engine.at(2500, core.set_priority, 2, 2)
+    machine.engine.at(4100, core.set_priority, 2, 1)
+    machine.run()
+    return machine
+
+
+def _run_multicore(fast_forward: bool, instrument: bool = False):
     """Two cores on one engine: each core's bursts must batch past the
     other core's per-cycle resumes (which live in the engine's step lane,
     outside the foreign-event horizon), and a cross-core store wakes a
     monitor sleeper mid-burst -- the interruptible (lazy) batch path."""
     machine = build_machine(cores=2, hw_threads_per_core=4, smt_width=2,
-                            fast_forward=fast_forward, trace=True)
+                            fast_forward=fast_forward,
+                            instrument=instrument, trace=True)
     box = machine.alloc("box", 64)
     for ptid in range(3):
         machine.load_asm(ptid, f"""
@@ -138,7 +184,8 @@ def _run_multicore(fast_forward: bool):
 
 
 @pytest.mark.parametrize("workload", [_run_contended,
-                                      _run_uncontended_priority])
+                                      _run_uncontended_priority,
+                                      _run_contended_priority])
 def test_fast_forward_matches_naive(workload):
     fast = workload(True)
     naive = workload(False)
@@ -168,6 +215,28 @@ def test_multicore_fast_forward_matches_naive():
     # the whole point: neither core's per-cycle resumes pinned the
     # other's horizon at one cycle
     assert fast.engine.events_processed < naive.engine.events_processed / 5
+
+
+@pytest.mark.parametrize("workload", [_run_lone_mixed, _run_contended,
+                                      _run_multicore])
+@pytest.mark.parametrize("fast_forward", [True, False])
+def test_instrumentation_only_observes(workload, fast_forward):
+    """The profiler rides the one issue loop without steering it: an
+    instrumented run is the uninstrumented run, engine events included."""
+    plain = workload(fast_forward)
+    observed = workload(fast_forward, instrument=True)
+    assert plain.obs is None and observed.obs is not None
+
+    def stats(machine):
+        return {key: value for key, value in machine.stats().items()
+                if key != "metrics"}
+
+    assert stats(observed) == stats(plain)
+    ptids = range(plain.config.hw_threads_per_core)
+    for core_id in range(plain.config.cores):
+        assert (_thread_fingerprint(observed, ptids, core_id)
+                == _thread_fingerprint(plain, ptids, core_id))
+    assert observed.tracer.events == plain.tracer.events
 
 
 def test_fast_forward_actually_skips_events():

@@ -30,11 +30,11 @@ loop:
 """
 
 
-def _race(policy: str, priorities):
+def _race(priorities):
     """Run two identical counting workers; return their finish order
-    and progress. The worker loop bodies are identical, so the issue
-    policy alone decides who advances faster."""
-    machine = build_machine(issue_policy=policy, smt_width=1)
+    and progress. The worker loop bodies are identical, so their
+    priorities alone decide who advances faster."""
+    machine = build_machine(smt_width=1)
     dones = [machine.alloc(f"done{i}", 64) for i in range(2)]
     for i in range(2):
         machine.load_asm(i, _COUNTED_WORKER,
@@ -55,27 +55,23 @@ def _race(policy: str, priorities):
 
 class TestPriorityWeightedIssue:
     def test_equal_priorities_finish_together(self):
-        finish = _race("priority", (1, 1))
+        finish = _race((1, 1))
         assert set(finish) == {0, 1}
         assert abs(finish[0] - finish[1]) < 500
 
     def test_higher_priority_finishes_first(self):
-        finish = _race("priority", (4, 1))
+        finish = _race((4, 1))
         assert finish[0] < finish[1]
 
     def test_priority_ratio_reflects_in_finish_times(self):
-        finish = _race("priority", (4, 1))
+        finish = _race((4, 1))
         # priority 4 gets ~4/5 of cycles until it halts: it should
         # finish in roughly 5/4 of its solo time, far before the other
         assert finish[1] > finish[0] * 1.4
 
-    def test_round_robin_ignores_priority(self):
-        finish = _race("rr", (4, 1))
-        assert abs(finish[0] - finish[1]) < 500
-
     def test_no_starvation(self):
         # even a 16:1 ratio must let the low-priority thread finish
-        finish = _race("priority", (16, 1))
+        finish = _race((16, 1))
         assert set(finish) == {0, 1}
 
     def test_set_priority_validates(self):
@@ -84,7 +80,9 @@ class TestPriorityWeightedIssue:
             machine.core(0).set_priority(0, 0)
 
     def test_bad_policy_rejected(self):
-        with pytest.raises(ConfigError):
+        # priorities are the only issue control: a policy name is an
+        # unknown config field, rejected before any machine is built
+        with pytest.raises(ConfigError, match="unknown machine config"):
             build_machine(issue_policy="lottery")
 
 
@@ -94,7 +92,7 @@ class TestTimeCriticalHandler:
         faster under background compute load than a low-priority one."""
         latencies = {}
         for prio in (1, 8):
-            machine = build_machine(issue_policy="priority", smt_width=1)
+            machine = build_machine(smt_width=1)
             flag = machine.alloc("flag", 64)
             resp = machine.alloc("resp", 64)
             machine.load_asm(0, """

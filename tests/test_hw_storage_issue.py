@@ -1,15 +1,10 @@
-"""Tests for the thread-state storage hierarchy and SMT issue policies."""
+"""Tests for the thread-state storage hierarchy and the SMT issue arbiter."""
 
 import pytest
 
 from repro.arch import CostModel
 from repro.errors import ConfigError
-from repro.hw import (
-    PriorityWeightedIssue,
-    RoundRobinIssue,
-    StorageTier,
-    ThreadStateStore,
-)
+from repro.hw import StorageTier, ThreadStateStore, WeightedRoundRobinIssue
 from repro.hw.ptid import HardwareThread
 
 
@@ -107,8 +102,10 @@ def _threads(n, priorities=None):
 
 
 class TestRoundRobinIssue:
+    """Default priorities: the arbiter is plain fine-grain RR."""
+
     def test_rotates_fairly(self):
-        policy = RoundRobinIssue()
+        policy = WeightedRoundRobinIssue()
         threads = _threads(4)
         counts = {t.ptid: 0 for t in threads}
         for _ in range(100):
@@ -117,23 +114,25 @@ class TestRoundRobinIssue:
         assert all(count == 50 for count in counts.values())
 
     def test_width_larger_than_pool(self):
-        policy = RoundRobinIssue()
+        policy = WeightedRoundRobinIssue()
         threads = _threads(2)
         assert len(policy.select(threads, width=8)) == 2
 
     def test_empty_pool(self):
-        assert RoundRobinIssue().select([], 2) == []
+        assert WeightedRoundRobinIssue().select([], 2) == []
 
     def test_single_thread_always_picked(self):
-        policy = RoundRobinIssue()
+        policy = WeightedRoundRobinIssue()
         threads = _threads(1)
         for _ in range(5):
             assert policy.select(threads, 2) == threads
 
 
 class TestPriorityWeightedIssue:
+    """Unequal priorities: the arbiter's credit walk weights the picks."""
+
     def test_priority_4_gets_about_4x_the_slots(self):
-        policy = PriorityWeightedIssue()
+        policy = WeightedRoundRobinIssue()
         threads = _threads(2, priorities=[4, 1])
         counts = {0: 0, 1: 0}
         for _ in range(1000):
@@ -143,7 +142,7 @@ class TestPriorityWeightedIssue:
         assert 3.0 <= ratio <= 5.0
 
     def test_no_starvation(self):
-        policy = PriorityWeightedIssue()
+        policy = WeightedRoundRobinIssue()
         threads = _threads(3, priorities=[10, 1, 1])
         counts = {0: 0, 1: 0, 2: 0}
         for _ in range(600):
@@ -152,7 +151,7 @@ class TestPriorityWeightedIssue:
         assert counts[1] > 0 and counts[2] > 0
 
     def test_equal_priorities_fair(self):
-        policy = PriorityWeightedIssue()
+        policy = WeightedRoundRobinIssue()
         threads = _threads(2, priorities=[1, 1])
         counts = {0: 0, 1: 0}
         for _ in range(100):
@@ -161,30 +160,30 @@ class TestPriorityWeightedIssue:
         assert abs(counts[0] - counts[1]) <= 2
 
     def test_forget_clears_bookkeeping(self):
-        policy = PriorityWeightedIssue()
+        policy = WeightedRoundRobinIssue()
         threads = _threads(2, priorities=[4, 1])
         policy.select(threads, 1)
+        assert 0 in policy._credit
         policy.forget(0)
-        assert 0 not in policy._vtime
+        assert 0 not in policy._credit
 
     def test_empty_pool(self):
-        assert PriorityWeightedIssue().select([], 2) == []
+        policy = WeightedRoundRobinIssue()
+        policy.select(_threads(3, priorities=[4, 1, 1]), 1)
+        assert policy.select([], 2) == []
 
 
 class TestPriorityOnCore:
     def test_high_priority_interrupt_thread_preempts_sooner(self):
         """Section 4: 'threads used for serving time-sensitive interrupts
-        receive more cycles'. With a priority-weighted policy a
-        high-priority thread finishes its burst much earlier than a
-        same-length low-priority burst under contention."""
-        from repro import build_machine
-        from repro.hw import PriorityWeightedIssue as PWI
+        receive more cycles'. A high-priority thread finishes its burst
+        much earlier than a same-length low-priority burst under
+        contention."""
         from repro.machine import MachineConfig, Machine
 
         def finish_times(priority):
             config = MachineConfig(hw_threads_per_core=8, smt_width=1)
             machine = Machine(config)
-            machine.core(0).issue_policy = PWI()
             machine.load_asm(0, "work 2000\nhalt", supervisor=True)
             machine.load_asm(1, "work 2000\nhalt", supervisor=True)
             machine.core(0).set_priority(0, priority)

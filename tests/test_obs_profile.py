@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs.profile import BUCKETS, CoreProfile, Profiler
+from tests.test_fastforward_equivalence import LONE_MIXED
 
 
 class TestCoreProfile:
@@ -58,6 +59,59 @@ class TestCoreProfile:
         profile.charge("issue", 10)
         profile.pend("stall", 10)
         assert profile.accounted(35) == 35
+
+    def test_pend_split_charges_first_cycle_then_rest(self):
+        profile = CoreProfile(0)
+        profile.pend_split("issue", 10, "stall")
+        assert profile.accounted(16) == 6
+        profile.settle(16)
+        assert profile.buckets["issue"] == 1
+        assert profile.buckets["stall"] == 5
+        profile.pend_split("fastforward", 16, "stall")
+        profile.settle(17)                 # a one-cycle round: no stall
+        assert profile.buckets["fastforward"] == 1
+        assert profile.buckets["stall"] == 5
+        # stopped on the round's own cycle: nothing elapsed, nothing
+        # charged, no bucket negative
+        profile.pend_split("issue", 17, "stall")
+        snap = profile.snapshot(17)
+        assert min(snap.values()) >= 0
+        assert (snap["issue"], snap["stall"]) == (1, 5)
+        assert sum(snap[b] for b in BUCKETS) == 17
+        snap = profile.snapshot(20)        # mid-stall
+        assert (snap["issue"], snap["stall"]) == (2, 7)
+        assert sum(snap[b] for b in BUCKETS) == 20
+
+
+class TestMergedStallAttribution:
+    """A run stopped on or inside an issue round that parked into a
+    merged stall. The expected buckets were recorded from an issue loop
+    that resumed after the round's cycle and pended the stall itself:
+    sleeping straight through the stall must attribute identically."""
+
+    @pytest.mark.parametrize("until, expected", [
+        (1, {"issue": 1, "stall": 0}),     # stopped on the ld round
+        (2, {"issue": 2, "stall": 0}),     # one cycle into the round
+        (4, {"issue": 2, "stall": 2}),     # mid-stall
+        (10, {"issue": 3, "stall": 7}),    # on the div round
+        (22, {"issue": 4, "stall": 18}),   # on the st round
+        (29, {"issue": 6, "stall": 23}),   # halted
+    ])
+    def test_stopped_on_a_parking_round(self, until, expected):
+        from repro.machine import build_machine
+
+        machine = build_machine(hw_threads_per_core=2, instrument=True)
+        buf = machine.alloc("buf", 64)
+        machine.load_asm(0, LONE_MIXED, symbols={"BUF": buf.base},
+                         supervisor=True)
+        machine.boot(0)
+        machine.run(until=until)
+        assert machine.engine.now == until
+        snap = machine.obs.profiler.snapshot(until)["core0"]
+        assert min(snap.values()) >= 0
+        assert sum(snap[b] for b in BUCKETS) == snap["total"] == until
+        assert snap == {**expected, "mwait": 0, "fastforward": 0,
+                        "idle": 0, "total": until}
 
 
 class TestProfiler:

@@ -6,18 +6,19 @@ Two randomized equivalences back the E18 claims:
   branch / work subset, a machine running the pre-decoded handler
   chains finishes with exactly the architectural state, retirement
   counts, busy-cycle totals, and final clock of the naive interpreter;
-- *WRR degenerates to RR*: at uniform weights the credit walk of
-  :class:`~repro.hw.issue.WeightedRoundRobinIssue` must reproduce
-  :class:`~repro.hw.issue.RoundRobinIssue`'s pick stream exactly --
-  pointer arithmetic and all -- over arbitrary issueable subsets and
-  widths.
+- *WRR degenerates to RR*: at uniform weights
+  :class:`~repro.hw.issue.WeightedRoundRobinIssue` must reproduce the
+  pick stream of the plain round-robin reference in
+  ``tests/rr_reference.py`` exactly -- pointer arithmetic and all --
+  over arbitrary issueable subsets and widths.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import build_machine
-from repro.hw.issue import RoundRobinIssue, WeightedRoundRobinIssue
+from repro.hw.issue import WeightedRoundRobinIssue
+from tests.rr_reference import RoundRobinIssue
 
 # ----------------------------------------------------------------------
 # random straight-line-with-forward-branches programs
