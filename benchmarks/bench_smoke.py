@@ -7,7 +7,9 @@ Re-measures the cheap throughput numbers -- raw engine dispatch
 regresses more than ``TOLERANCE_PCT`` below its committed baseline.
 Wall-clock entries are informational; only events/sec is gated, since
 it is the one metric that tracks the engine hot path rather than the
-container's mood.
+container's mood. The engine-event count of each single-engine cluster
+run is deterministic, so it is gated exactly: a speed-up that drops or
+merges simulated events fails here whatever the timing says.
 
 Run:  PYTHONPATH=src python benchmarks/bench_smoke.py
 """
@@ -31,6 +33,15 @@ def check(label: str, baseline: int, measured: int, failures: list) -> None:
         failures.append(label)
 
 
+def check_exact(label: str, committed: int, fresh: int,
+                failures: list) -> None:
+    status = "ok" if fresh == committed else "CHANGED"
+    print(f"{label:42s} committed {committed:>9,}  "
+          f"fresh {fresh:>13,}  (exact)     {status}")
+    if fresh != committed:
+        failures.append(label)
+
+
 def main() -> int:
     from benchmarks import _cluster_bench as cb
     from benchmarks.bench_engine_throughput import bench_engine_dispatch
@@ -49,9 +60,12 @@ def main() -> int:
           measured, failures)
 
     for section, module in (("e14", e14), ("e15", e15)):
-        check(f"{section}.cluster_run",
-              cluster_base[section]["cluster_run"]["events_per_sec"],
-              module.micro_bench()["events_per_sec"], failures)
+        committed = cluster_base[section]["cluster_run"]
+        fresh = module.micro_bench()
+        check(f"{section}.cluster_run", committed["events_per_sec"],
+              fresh["events_per_sec"], failures)
+        check_exact(f"{section}.cluster_run.events", committed["events"],
+                    fresh["events"], failures)
 
     # tracing A/B (fresh, interleaved in this process): span hooks must
     # stay free when tracing is off -- the disabled pass runs the exact
@@ -107,6 +121,12 @@ def main() -> int:
         check(f"e14.shard_scaling[shards={shards}]",
               cell["events_per_sec"],
               fresh_scaling[shards]["events_per_sec"], failures)
+        # shards=1 is the single-engine run; sharded counts add the
+        # coordinator's synchronization events
+        if shards == "1":
+            check_exact("e14.shard_scaling[shards=1].events",
+                        cell["events"], fresh_scaling[shards]["events"],
+                        failures)
 
     # decoded-dispatch throughput: fresh instr/sec per loop shape with
     # the decode cache on, gated against the committed baseline (a
@@ -119,8 +139,8 @@ def main() -> int:
               fresh_isa[name]["predecode_instr_per_sec"], failures)
 
     if failures:
-        print(f"\nevents/sec regression >{TOLERANCE_PCT}% in: "
-              + ", ".join(failures))
+        print(f"\nevents/sec regression >{TOLERANCE_PCT}% or changed "
+              f"event count in: " + ", ".join(failures))
         return 1
     print("\nall benchmarks within tolerance")
     return 0

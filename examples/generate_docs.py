@@ -677,17 +677,23 @@ def engine_markdown() -> str:
         "One engine drives everything -- behavioral queueing models,",
         "ISA machines, and whole clusters share a single event queue",
         "with deterministic `(time, insertion-seq)` dispatch order.",
-        "The public surface is `at`/`after` (returning a cancellable",
-        "`ScheduledCall`), `run`/`run_until_idle`/`step`, and",
+        "The public surface is `at`/`after` (each returning an opaque",
+        "handle), `cancel(handle)`, `run`/`run_until_idle`/`step`, and",
         "`next_event_time`.",
         "",
         "## One binary heap",
         "",
-        "Pending events live in one binary heap of `(time, seq, call)`",
-        "tuples. `seq` is a monotone counter, so same-time events",
+        "Pending events live in one binary heap of mutable",
+        "`[time, seq, fn, args]` records, one list per event and no",
+        "other object. `seq` is a monotone counter, so same-time events",
         "dispatch in the order they were scheduled, and a given program",
-        "interleaves its events identically on every run. Cancellation",
-        "tombstones the entry in O(1); the heap is compacted in place",
+        "interleaves its events identically on every run. The record is",
+        "the handle `at`/`after` return; `Engine.cancel(handle)`, like",
+        "the standard library's `sched.scheduler.cancel(event)`,",
+        "tombstones it in O(1) by clearing its callback slot. Dispatch",
+        "clears the slot as well before making the call, so cancelling a",
+        "spent or already-cancelled handle does nothing and",
+        "`pending_events` stays exact. The heap is compacted in place",
         "once cancelled entries outnumber live ones (and the queue is at",
         f"least {_COMPACT_MIN_QUEUE} long). `run(until=..., max_events=...)`",
         "holds the only dispatch loop: `step()` is `run(max_events=1)`",
@@ -701,6 +707,8 @@ def engine_markdown() -> str:
         "engine.after(5, seen.append, 'b')",
         "engine.at(5, seen.append, 'c')",
         "engine.after(1, seen.append, 'a')",
+        "dropped = engine.after(3, seen.append, 'x')",
+        "engine.cancel(dropped)",
         "engine.run()",
         "assert seen == ['a', 'b', 'c'] and engine.now == 5",
         "```",
@@ -748,7 +756,8 @@ def engine_markdown() -> str:
         "(cluster wall-clock and events/sec, with the measuring host).",
         "`benchmarks/bench_smoke.py` re-measures the quick numbers in CI",
         "and fails on a >25% events/sec regression against the",
-        "committed baselines.",
+        "committed baselines, or when a single-engine cluster run",
+        "dispatches a different number of events than committed.",
         "",
     ]
     return "\n".join(lines)

@@ -24,6 +24,7 @@ a hedge must land on a node the shard has not already tried.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
@@ -34,6 +35,10 @@ from random import Random
 
 #: The policy names, in the order tables report them.
 POLICIES = ("random", "round-robin", "jsq", "p2c")
+
+#: jsq's exact load, read with no Python frame per node: ``in_flight()``
+#: of ClusterNode and of the PDES proxy node returns this field
+_IN_FLIGHT = operator.attrgetter("_in_flight")
 
 
 class LoadBalancer:
@@ -59,6 +64,9 @@ class LoadBalancer:
                 "a stale balancer (probe_delay_cycles > 0) needs the "
                 "engine to timestamp its probe snapshots")
         self.nodes = list(nodes)
+        # jsq scans in id order: min() keeps the first, lowest-id node
+        # among equally loaded ones
+        self._by_id = sorted(self.nodes, key=operator.attrgetter("node_id"))
         self.policy = policy
         self.rng = rng
         self.probe_delay_cycles = probe_delay_cycles
@@ -91,17 +99,22 @@ class LoadBalancer:
         If exclusion empties the candidate set (hedging on a cluster
         smaller than the retry budget) the full set is used again.
         """
-        candidates = [n for n in self.nodes if n not in exclude]
-        if not candidates:
-            candidates = self.nodes
         self.picks += 1
-        if self.policy == "random":
+        policy = self.policy
+        if policy == "jsq":
+            pool = self._by_id
+            if exclude:
+                pool = [n for n in pool if n not in exclude] or pool
+            return min(pool, key=_IN_FLIGHT if self.probe_delay_cycles == 0
+                       else self._load)
+        nodes = self.nodes
+        candidates = nodes
+        if exclude:
+            candidates = [n for n in nodes if n not in exclude] or nodes
+        if policy == "random":
             return self.rng.choice(candidates)
-        if self.policy == "round-robin":
+        if policy == "round-robin":
             return self._pick_rr(candidates)
-        if self.policy == "jsq":
-            return min(candidates,
-                       key=lambda n: (self._load(n), n.node_id))
         # p2c: two distinct probes when possible, less loaded wins,
         # lower id on ties (deterministic)
         if len(candidates) == 1:
@@ -115,12 +128,12 @@ class LoadBalancer:
     def _pick_rr(self, candidates) -> ClusterNode:
         # advance the global pointer until it lands on a candidate, so
         # excluded nodes are skipped without desynchronizing the cycle
-        for _ in range(len(self.nodes)):
-            node = self.nodes[self._rr_next % len(self.nodes)]
-            self._rr_next = (self._rr_next + 1) % len(self.nodes)
-            if node in candidates:
+        nodes = self.nodes
+        while True:
+            node = nodes[self._rr_next]
+            self._rr_next = (self._rr_next + 1) % len(nodes)
+            if candidates is nodes or node in candidates:
                 return node
-        return candidates[0]  # unreachable: candidates is non-empty
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<LoadBalancer {self.policy} nodes={len(self.nodes)}"

@@ -90,9 +90,10 @@ class Fabric:
         self.engine = engine
         self.rng = rng
         self.stream_factory = stream_factory
-        self._link_rngs: Dict[Tuple[str, str], Random] = {}
         self.default_link = default_link
-        self._links: Dict[Tuple[str, str], LinkSpec] = {}
+        # (spec, rng) per directed link: created on the link's first use
+        # or override, so a send resolves both with one lookup
+        self._routes: Dict[Tuple[str, str], Tuple[LinkSpec, Random]] = {}
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -110,21 +111,24 @@ class Fabric:
     # ------------------------------------------------------------------
     def set_link(self, src: str, dst: str, spec: LinkSpec) -> None:
         """Override the spec for the directed ``src -> dst`` link."""
-        self._links[(src, dst)] = spec
+        self._routes[(src, dst)] = (spec, self._route(src, dst)[1])
 
     def link_for(self, src: str, dst: str) -> LinkSpec:
-        return self._links.get((src, dst), self.default_link)
+        return self._route(src, dst)[0]
 
     def rng_for(self, src: str, dst: str) -> Random:
         """The stream the ``src -> dst`` link draws from (shared rng in
         legacy mode, a lazily created per-link stream otherwise)."""
-        if self.stream_factory is None:
-            return self.rng
-        key = (src, dst)
-        rng = self._link_rngs.get(key)
-        if rng is None:
-            rng = self._link_rngs[key] = self.stream_factory(f"{src}->{dst}")
-        return rng
+        return self._route(src, dst)[1]
+
+    def _route(self, src: str, dst: str) -> Tuple[LinkSpec, Random]:
+        route = self._routes.get((src, dst))
+        if route is None:
+            rng = self.rng
+            if self.stream_factory is not None:
+                rng = self.stream_factory(f"{src}->{dst}")
+            route = self._routes[(src, dst)] = (self.default_link, rng)
+        return route
 
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str,
@@ -138,16 +142,16 @@ class Fabric:
         (``None`` when dropped) -- the sharded runtime needs the
         timestamp to ship the message cross-process."""
         self.sent += 1
-        spec = self.link_for(src, dst)
-        rng = self.rng_for(src, dst)
+        spec, rng = self._routes.get((src, dst)) or self._route(src, dst)
         if spec.drop_prob > 0.0 and rng.random() < spec.drop_prob:
             self.dropped += 1
             return None
         delay = spec.sample_delay(rng)
         self.latency_cycles += delay
         self.in_flight += 1
-        self.engine.after(delay, self._deliver, fn, args)
-        return self.engine.now + delay
+        due = self.engine._now + delay
+        self.engine.at(due, self._deliver, fn, args)
+        return due
 
     def _deliver(self, fn: Callable[..., Any], args: Tuple[Any, ...]) -> None:
         self.in_flight -= 1

@@ -155,11 +155,8 @@ class _InflightRequest:
                                         seg if seg > 1 else 1,
                                         overhead, 0)
         model._seg_counter += 1
-        model.cpu.offer(Request(
-            req_id=model._seg_counter,
-            arrival_time=float(model.engine._now),
-            service_cycles=demand,
-            payload={"done": self}))
+        model.cpu.offer(Request(model._seg_counter, float(model.engine._now),
+                                demand, None, None, {"done": self}))
 
     def fire(self, _request: Optional[Request] = None) -> None:
         """Segment done (called by the queueing server's completion)."""
@@ -169,7 +166,8 @@ class _InflightRequest:
             # blocked on the remote call, holding no CPU
             if model.span_sink is not None:
                 model.span_sink.node_demand(self.req_id, 0, 0, self.rtt)
-            model.engine.after(self.rtt, self._offer_segment)
+            engine = model.engine
+            engine.at(engine._now + self.rtt, self._offer_segment)
             return
         model.active -= 1
         model.completed += 1

@@ -30,7 +30,7 @@ from typing import Deque, List, Optional, Tuple
 from repro.analysis.stats import LatencyRecorder
 from repro.errors import ConfigError
 from repro.obs.timeline import ThreadState
-from repro.sim.engine import Engine, ScheduledCall
+from repro.sim.engine import Engine, Event
 from repro.sim.process import Signal
 from repro.workloads.requests import Request
 
@@ -238,7 +238,7 @@ class ProcessorSharingServer(QueueingServer):
         self._heap: List[Tuple[float, int, Request]] = []
         self._seq = itertools.count()
         self._last_update = 0
-        self._pending_completion: Optional[ScheduledCall] = None
+        self._pending_completion: Optional[Event] = None
         self._deadline = 0  # absolute fire time of _pending_completion
 
     def offer(self, request: Request) -> None:
@@ -289,7 +289,7 @@ class ProcessorSharingServer(QueueingServer):
         if pending is not None:
             if due >= self._deadline:
                 return
-            pending.cancel()
+            self.engine.cancel(pending)
         self._deadline = due
         self._pending_completion = self.engine.at(due, self._complete)
 

@@ -21,7 +21,7 @@ behavioral kernel models stay mutually consistent in time.
 
 from repro.sim.channel import Channel
 from repro.sim.clock import Clock
-from repro.sim.engine import Engine, ScheduledCall
+from repro.sim.engine import Engine
 from repro.sim.process import AllOf, AnyOf, Process, Signal, Timeout
 from repro.sim.rng import RngStreams
 from repro.sim.trace import TraceEvent, Tracer
@@ -33,7 +33,6 @@ __all__ = [
     "Clock",
     "Engine",
     "Process",
-    "ScheduledCall",
     "Signal",
     "Timeout",
     "TraceEvent",

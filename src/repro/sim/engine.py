@@ -5,12 +5,13 @@ Components schedule plain callbacks with :meth:`Engine.at` /
 :meth:`Engine.after`, or spawn generator coroutines via
 :meth:`Engine.spawn` (see :mod:`repro.sim.process`).
 
-Pending events live in one binary heap of ``(time, seq, call)`` tuples,
-where ``seq`` is a monotone counter, so events dispatch in exactly
-``(time, seq)`` order: ties in time break by insertion order, and a
-given program produces the same event interleaving on every run.
-Cancellation tombstones the entry, and the heap is compacted in place
-once dead entries outnumber live ones.
+Pending events live in one binary heap of ``[time, seq, fn, args]``
+records, where ``seq`` is a monotone counter, so events dispatch in
+exactly ``(time, seq)`` order: ties in time break by insertion order,
+and a given program produces the same event interleaving on every run.
+The record is the handle scheduling returns; :meth:`Engine.cancel`
+tombstones it, and the heap is compacted once dead entries outnumber
+live ones.
 
 Separately from the main queue, the engine keeps a *step lane*
 (:meth:`at_step`): a small heap reserved for CPU-core issue-loop
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 
@@ -35,38 +36,13 @@ from repro.errors import SimulationError
 #: than the dead entries do).
 _COMPACT_MIN_QUEUE = 64
 
+#: ``[time, seq, fn, args]``; ``fn`` is None once cancelled or dispatched
+Event = List[Any]
+
 
 def resolve_queue() -> str:  # kept for perfbench/ until it drops the name
     """The event store's name, as recorded in benchmark manifests."""
     return "heap"
-
-
-class ScheduledCall:
-    """Handle for a scheduled callback; supports cancellation."""
-
-    __slots__ = ("time", "fn", "args", "cancelled", "step", "_engine")
-
-    def __init__(self, time: int, fn: Callable[..., Any], args: Tuple[Any, ...],
-                 engine: "Optional[Engine]" = None):
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.step = False
-        self._engine = engine
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing. Idempotent, and a no-op
-        once the call has been dispatched (the dispatch loop drops the
-        engine backref so a late cancel cannot skew the live count)."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._engine is not None:
-                self._engine._note_cancel(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledCall t={self.time} {getattr(self.fn, '__name__', self.fn)} {state}>"
 
 
 class Engine:
@@ -92,10 +68,10 @@ class Engine:
         # Both lanes are only ever mutated in place (heappush, heappop,
         # slice assignment): run() holds local aliases to them while
         # callbacks schedule, cancel and peek.
-        self._queue: List[Tuple[int, int, ScheduledCall]] = []
+        self._queue: List[Event] = []
         # The step lane: core issue-loop resumes, merged into dispatch
         # by (time, seq) but excluded from next_foreign_event_time().
-        self._steps: List[Tuple[int, int, ScheduledCall]] = []
+        self._steps: List[Event] = []
 
     # ------------------------------------------------------------------
     # time
@@ -124,13 +100,13 @@ class Engine:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def after(self, delay: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
+    def after(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.at(self._now + int(delay), fn, *args)
 
-    def at_step(self, time: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
+    def at_step(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule a CPU-core issue-loop resume at absolute ``time``.
 
         Identical dispatch semantics to :meth:`at` (global
@@ -143,13 +119,12 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is t={self._now}"
             )
-        call = ScheduledCall(time, fn, args, self)
-        call.step = True
-        heapq.heappush(self._steps, (time, next(self._seq), call))
+        event = [time, next(self._seq), fn, args]
+        heapq.heappush(self._steps, event)
         self._live += 1
-        return call
+        return event
 
-    def after_step(self, delay: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
+    def after_step(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Step-lane variant of :meth:`after`."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
@@ -167,18 +142,20 @@ class Engine:
         self._processes.append(proc)
         return proc
 
-    def _note_cancel(self, call: ScheduledCall) -> None:
-        self._live -= 1
-        if call.step:
-            # step-lane tombstones are rare (an interrupted batch) and
-            # few (one per core); dispatch pops them lazily
+    def cancel(self, event: Event) -> None:
+        """Stop the event a scheduling call returned from firing, like
+        :meth:`sched.scheduler.cancel`. Dispatch clears the callback
+        slot too, so a spent or cancelled handle is a no-op here."""
+        if event[2] is None:
             return
+        event[2] = None
+        self._live -= 1
         queue = self._queue
-        # dead-entry estimate: _live spans both lanes, and live step
-        # events (at most one per core) make this a slight overcount
+        # dead entries in both lanes: step-lane tombstones are rare (an
+        # interrupted batch) and few (one per core)
         dead = len(queue) + len(self._steps) - self._live
         if dead > len(queue) // 2 and len(queue) >= _COMPACT_MIN_QUEUE:
-            queue[:] = [entry for entry in queue if not entry[2].cancelled]
+            queue[:] = [entry for entry in queue if entry[2] is not None]
             heapq.heapify(queue)
 
     # ------------------------------------------------------------------
@@ -207,14 +184,14 @@ class Engine:
         this core's wake signal (which interrupts the batch).
         """
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue and queue[0][2] is None:
             heapq.heappop(queue)
         return queue[0][0] if queue else None
 
     def _next_step_time(self) -> Optional[int]:
         """Earliest live step-lane event, or None."""
         steps = self._steps
-        while steps and steps[0][2].cancelled:
+        while steps and steps[0][2] is None:
             heapq.heappop(steps)
         return steps[0][0] if steps else None
 
@@ -249,17 +226,17 @@ class HeapEngine(Engine):
     ``Engine()``.
     """
 
-    def at(self, time: int, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
+    def at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run at absolute ``time``."""
         time = int(time)
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is t={self._now}"
             )
-        call = ScheduledCall(time, fn, args, self)
-        heapq.heappush(self._queue, (time, next(self._seq), call))
+        event = [time, next(self._seq), fn, args]
+        heapq.heappush(self._queue, event)
         self._live += 1
-        return call
+        return event
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or
@@ -278,26 +255,28 @@ class HeapEngine(Engine):
             dispatched = 0
             while queue or steps:
                 # merge the two lanes by (time, seq); seq is shared, so
-                # the tuple comparison reproduces the single-queue order
+                # the record comparison reproduces the single-queue order
                 if steps and (not queue or steps[0] < queue[0]):
                     src = steps
                 else:
                     src = queue
-                time, _seq, call = src[0]
-                if call.cancelled:
+                event = src[0]
+                fn = event[2]
+                if fn is None:
                     pop(src)
                     continue
+                time = event[0]
                 if until is not None and time > until:
                     break
                 if max_events is not None and dispatched >= max_events:
                     break
                 pop(src)
+                event[2] = None
                 self._now = time
                 self._events_processed += 1
                 self._live -= 1
                 dispatched += 1
-                call._engine = None
-                call.fn(*call.args)
+                fn(*event[3])
         finally:
             self._run_until = prior_until
         if until is not None and self._now < until:

@@ -25,6 +25,7 @@ exposed as :attr:`Process.result` and delivered to joiners.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro.errors import SimulationError
@@ -250,9 +251,10 @@ class Process:
         if isinstance(waitable, int):
             waitable = Timeout(waitable)
         if isinstance(waitable, Timeout):
-            after = self.engine.after_step if self.step_ints else self.engine.after
-            call = after(waitable.delay, callback, None)
-            self._pending_detach.append(call.cancel)
+            engine = self.engine
+            after = engine.after_step if self.step_ints else engine.after
+            event = after(waitable.delay, callback, None)
+            self._pending_detach.append(partial(engine.cancel, event))
         elif isinstance(waitable, Signal):
             self._pending_detach.append(waitable.add_waiter(callback))
         elif isinstance(waitable, Process):

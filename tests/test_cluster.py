@@ -83,6 +83,27 @@ class TestFabric:
         fabric.send("a", "b", lambda: None)
         assert fabric.mean_delay_cycles() == fabric.default_link.base_cycles
 
+    def test_set_link_after_traffic_takes_effect_on_next_send(self):
+        engine, fabric = self._fabric(jitter_mean_cycles=0.0)
+        assert fabric.send_traced("a", "b", lambda: None) == 2_000
+        engine.run_until_idle()
+        fabric.set_link("a", "b", LinkSpec(base_cycles=9_999,
+                                           jitter_mean_cycles=0.0))
+        assert fabric.send_traced("a", "b", lambda: None) == 2_000 + 9_999
+        assert fabric.send_traced("b", "a", lambda: None) == 2_000 + 2_000
+
+    def test_shared_rng_draws_replay_sample_delay(self):
+        engine, fabric = self._fabric(jitter_mean_cycles=300.0)
+        slow = LinkSpec(base_cycles=5_000, jitter_mean_cycles=900.0)
+        fabric.set_link("a", "c", slow)
+        links = [("a", "b"), ("a", "c"), ("b", "a"), ("a", "c"),
+                 ("a", "b")] * 8
+        delays = [fabric.send_traced(src, dst, lambda: None)
+                  for src, dst in links]
+        replay = random.Random(1)
+        assert delays == [fabric.link_for(src, dst).sample_delay(replay)
+                          for src, dst in links]
+
 
 # ----------------------------------------------------------------------
 def _nodes(engine, count, design=HW_THREADS, **kwargs):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.sim.engine import (_COMPACT_MIN_QUEUE, Engine, HeapEngine,
                               WheelEngine)
+from repro.sim.process import AnyOf, Signal, Timeout
 
 
 # perfbench/ builds engines through both compat names: HeapEngine directly,
@@ -19,8 +20,8 @@ def test_pending_events_counter_tracks_cancel_and_dispatch(make_engine):
     engine = make_engine()
     calls = [engine.at(t, lambda: None) for t in (5, 10, 15)]
     assert engine.pending_events == 3
-    calls[1].cancel()
-    calls[1].cancel()  # idempotent: must not double-decrement
+    engine.cancel(calls[1])
+    engine.cancel(calls[1])  # idempotent: must not double-decrement
     assert engine.pending_events == 2
     engine.step()
     assert engine.pending_events == 1
@@ -33,7 +34,7 @@ def test_lazy_compaction_prunes_cancelled_entries():
     calls = [engine.at(i + 1, lambda: None)
              for i in range(2 * _COMPACT_MIN_QUEUE)]
     for call in calls[: _COMPACT_MIN_QUEUE + 1]:
-        call.cancel()
+        engine.cancel(call)
     # cancelled entries outnumber live ones -> heap was rebuilt
     assert len(engine._queue) == _COMPACT_MIN_QUEUE - 1
     assert engine.pending_events == _COMPACT_MIN_QUEUE - 1
@@ -56,7 +57,7 @@ def test_next_event_time_skips_cancelled_heads(make_engine):
     first = engine.at(4, lambda: None)
     engine.at(7, lambda: None)
     assert engine.next_event_time() == 4
-    first.cancel()
+    engine.cancel(first)
     assert engine.next_event_time() == 7
 
 
@@ -71,3 +72,53 @@ def test_run_until_exposed_only_inside_bounded_run(make_engine):
     engine.at(60, lambda: seen.append(engine.run_until))
     engine.run()  # unbounded: no horizon
     assert seen == [50, None]
+
+
+def test_callback_cancelling_its_own_handle_keeps_count_exact():
+    engine = Engine()
+    handles = []
+    seen = []
+
+    def fire():
+        engine.cancel(handles[0])  # already being dispatched: a no-op
+        seen.append(engine.pending_events)
+
+    handles.append(engine.at(5, fire))
+    engine.at(9, lambda: None)
+    engine.run(until=5)
+    assert seen == [1]
+    assert engine.pending_events == 1
+    engine.run()
+    assert engine.pending_events == 0
+
+
+def test_cancel_after_dispatch_is_a_no_op():
+    engine = Engine()
+    spent = engine.at(3, lambda: None)
+    engine.at(8, lambda: None)
+    engine.run(until=5)
+    assert engine.pending_events == 1
+    engine.cancel(spent)
+    assert engine.pending_events == 1
+    engine.run()
+    assert engine.events_processed == 2
+    assert engine.pending_events == 0
+
+
+def test_signal_winning_anyof_cancels_the_timer():
+    engine = Engine()
+    signal = Signal("wake")
+    woken = []
+
+    def sleeper():
+        woken.append((yield AnyOf([Timeout(100), signal])))
+
+    engine.spawn(sleeper())
+    engine.run(until=1)
+    assert engine.pending_events == 1  # the AnyOf timer
+    engine.at(10, signal.fire, "go")
+    engine.run(until=10)
+    assert woken == [(1, "go")]
+    assert engine.pending_events == 0
+    engine.run()
+    assert engine.now == 10 and engine.events_processed == 2

@@ -23,16 +23,11 @@ from repro.sim.engine import _COMPACT_MIN_QUEUE, Engine
 
 
 class ListCall:
-    """The oracle's cancellable handle."""
+    """The oracle's event handle."""
 
-    def __init__(self, engine: "ListEngine", fn, args) -> None:
-        self.engine = engine
+    def __init__(self, fn, args) -> None:
         self.fn = fn
         self.args = args
-
-    def cancel(self) -> None:
-        self.engine.pending = [entry for entry in self.engine.pending
-                               if entry[3] is not self]
 
 
 class ListEngine:
@@ -53,7 +48,7 @@ class ListEngine:
     def _schedule(self, time, step, fn, args) -> ListCall:
         if time < self.now:
             raise SimulationError(f"t={time} is in the past")
-        call = ListCall(self, fn, args)
+        call = ListCall(fn, args)
         bisect.insort(self.pending, (time, self._seq, step, call))
         self._seq += 1
         return call
@@ -69,6 +64,10 @@ class ListEngine:
 
     def after_step(self, delay, fn, *args):
         return self._schedule(self.now + delay, True, fn, args)
+
+    def cancel(self, call) -> None:
+        self.pending = [entry for entry in self.pending
+                        if entry[3] is not call]
 
     def run(self, until=None, max_events=None) -> int:
         prior, self.run_until = self.run_until, until
@@ -146,7 +145,7 @@ class Driver:
             self.calls.append(call)
         elif kind == "cancel":
             if self.calls:
-                self.calls[action[1] % len(self.calls)].cancel()
+                self.engine.cancel(self.calls[action[1] % len(self.calls)])
         elif kind == "peek":
             self.observe("peek")
 

@@ -65,7 +65,7 @@ def test_cancel_prevents_dispatch():
     engine = Engine()
     seen = []
     call = engine.after(10, seen.append, "x")
-    call.cancel()
+    engine.cancel(call)
     engine.run()
     assert seen == []
 
@@ -73,8 +73,8 @@ def test_cancel_prevents_dispatch():
 def test_cancel_is_idempotent():
     engine = Engine()
     call = engine.after(10, lambda: None)
-    call.cancel()
-    call.cancel()
+    engine.cancel(call)
+    engine.cancel(call)
     engine.run()
 
 
@@ -124,7 +124,7 @@ def test_pending_events_excludes_cancelled():
     engine = Engine()
     engine.after(10, lambda: None)
     call = engine.after(20, lambda: None)
-    call.cancel()
+    engine.cancel(call)
     assert engine.pending_events == 1
 
 
@@ -161,7 +161,7 @@ def test_mass_cancel_mid_run_keeps_later_events():
 
     def purge():
         for call in cancellable:
-            call.cancel()   # crosses the compaction threshold mid-run
+            engine.cancel(call)   # crosses the compaction threshold mid-run
         engine.after(5, seen.append, "scheduled-after-compaction")
 
     engine.at(10, purge)
@@ -182,14 +182,14 @@ def test_next_event_time_mid_run_keeps_later_events(engine_cls):
     # inside a callback after a mass cancel could strand every later
     # event in a list the dispatch loop never looked at again. The peek
     # must prune tombstones with the same in-place discipline as
-    # _note_cancel.
+    # Engine.cancel.
     engine = engine_cls()
     seen = []
     doomed = [engine.at(1_000 + i, seen.append, "dead") for i in range(100)]
 
     def probe():
         for call in doomed:
-            call.cancel()
+            engine.cancel(call)
         assert engine.next_event_time() == 2_000
         engine.after(5, seen.append, "scheduled-after-peek")
 
@@ -209,7 +209,7 @@ def test_compaction_preserves_order_and_count():
 
     def purge():
         for call in doomed:
-            call.cancel()
+            engine.cancel(call)
         assert engine.pending_events == len(survivors)
 
     engine.at(100, purge)
