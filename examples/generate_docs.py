@@ -588,6 +588,13 @@ def backends_markdown() -> str:
         "monitor/mwait blocking on remote calls | every guest cycle "
         "is simulated -- keep clusters small |",
         "",
+        "A `model` run never imports the ISA machine (`repro.machine`,",
+        "`repro.hw`, `repro.isa`, `repro.mem`) or the PDES runtime:",
+        "the package re-exports that reach them (`repro.build_machine`,",
+        "`repro.backends.MachineBackend`, `repro.cluster.run_sharded`)",
+        "load on first use, and `tests/test_import_boundary.py` checks",
+        "that boundary in a fresh interpreter.",
+        "",
         "## What the ISA backend runs",
         "",
         "Each admitted request is assembled into straight-line blocking",

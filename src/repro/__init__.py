@@ -17,7 +17,11 @@ Mazières, and Kozyrakis as a pure-Python behavioral simulator:
 - :mod:`repro.hypervisor`, :mod:`repro.microkernel`,
   :mod:`repro.distributed` -- the paper's Section 2 use cases.
 - :mod:`repro.workloads`, :mod:`repro.analysis`,
-  :mod:`repro.experiments` -- evaluation harness (experiments E01-E12).
+  :mod:`repro.experiments` -- evaluation harness (experiments E01-E18).
+
+:class:`Machine`, :class:`MachineConfig` and :func:`build_machine`
+import the ISA machine (:mod:`repro.machine`) on first use, so a
+behavioral-model cluster run never loads it.
 
 Quickstart::
 
@@ -27,8 +31,11 @@ Quickstart::
 See ``examples/quickstart.py`` for a complete runnable tour.
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.machine import Machine, MachineConfig, build_machine
+
+__getattr__ = lazy_exports(
+    globals(), machine=("Machine", "MachineConfig", "build_machine"))
 
 __all__ = [
     "Machine",

@@ -23,13 +23,15 @@ datacenter on a shared :class:`~repro.sim.engine.Engine`:
 - :mod:`repro.cluster.pdes` -- parallel-in-time sharding: one engine
   per node partition, synchronized conservatively on the fabric's
   guaranteed link latency (``shards=N`` on :class:`ClusterConfig`),
-  byte-identical to the single-engine run.
+  byte-identical to the single-engine run. It loads on first use of
+  :func:`run_sharded` or :class:`CausalityError` (or ``shards > 1``),
+  so a single-engine run never imports it.
 """
 
+from repro._lazy import lazy_exports
 from repro.cluster.balancer import POLICIES, LoadBalancer
 from repro.cluster.fabric import Fabric, LinkSpec
 from repro.cluster.node import ClusterNode
-from repro.cluster.pdes import CausalityError, run_sharded
 from repro.cluster.run import (
     DESIGNS,
     PLACEMENTS,
@@ -45,6 +47,9 @@ from repro.cluster.run import (
     summarize_run,
 )
 from repro.cluster.service import ClusterService
+
+__getattr__ = lazy_exports(globals(),
+                           pdes=("CausalityError", "run_sharded"))
 
 __all__ = [
     "POLICIES",

@@ -86,6 +86,28 @@ class ClusterConfig:
                 f"design must be a ServerDesign, got {self.design!r}; look "
                 f"one up by name with get_design() (known designs: "
                 f"{', '.join(DESIGNS)})")
+        for name in ("nodes", "requests", "fanout", "segments",
+                     "cores_per_node", "threads_per_peer", "racks",
+                     "shards"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(
+                    f"{name} must be an integer count, got {value!r}")
+        if not isinstance(self.link, LinkSpec):
+            raise ConfigError(
+                f"link must be a LinkSpec, e.g. LinkSpec(drop_prob=0.01), "
+                f"got {self.link!r}")
+        if not isinstance(self.cross_rack_link, (LinkSpec, type(None))):
+            raise ConfigError(
+                f"cross_rack_link must be a LinkSpec or None (None reuses "
+                f"link), got {self.cross_rack_link!r}")
+        if self.rtt_cycles < 0:
+            raise ConfigError(
+                f"rtt_cycles must be >= 0, got {self.rtt_cycles}")
+        if not self.horizon_factor > 0:
+            raise ConfigError(
+                f"horizon_factor must be positive (the run horizon in "
+                f"mean inter-arrival gaps), got {self.horizon_factor}")
         if self.nodes < 1:
             raise ConfigError(f"need at least one node, got {self.nodes}")
         if not 0.0 < self.load:

@@ -13,12 +13,18 @@ Three layers, built bottom-up (see docs/coherence.md):
 - :mod:`repro.coherence.tdt_shard` -- per-node TDT partitions with
   cross-shard resolution latency and invtid fan-out.
 
-Experiment E17 caps the subsystem.
+Experiment E17 caps the subsystem. The directory loads with the
+package (cluster configs validate their coherence model name against
+it); the remote-store and sharded-TDT layers load on first use.
 """
 
+from repro._lazy import lazy_exports
 from repro.coherence.directory import MODEL_NAMES, DirectoryModel
-from repro.coherence.remote import MailboxWindow, RemoteStoreFabric
-from repro.coherence.tdt_shard import ShardedTdt
+
+__getattr__ = lazy_exports(
+    globals(),
+    remote=("MailboxWindow", "RemoteStoreFabric"),
+    tdt_shard=("ShardedTdt",))
 
 __all__ = [
     "DirectoryModel",

@@ -17,27 +17,26 @@ each comparison with the *same* event streams and a shared
   interrupt-driven, polling, and mwait-based.
 - :mod:`repro.kernel.syscalls` -- synchronous, FlexSC-style
   asynchronous, and dedicated-hardware-thread system calls.
+
+Only the schedulers load with the package (the behavioral RPC model
+runs on them); every other name imports its module on first use.
 """
 
-from repro.kernel.interrupts import HwThreadDispatch, IdtInterruptPath
-from repro.kernel.io import (
-    InterruptIoServer,
-    IoServerStats,
-    MwaitIoServer,
-    PollingIoServer,
-)
+from repro._lazy import lazy_exports
 from repro.kernel.sched import (
     FifoServer,
     ProcessorSharingServer,
     RoundRobinServer,
 )
-from repro.kernel.syscalls import (
-    FlexScPath,
-    HwThreadSyscallPath,
-    SyncSyscallPath,
-    SyscallRunner,
-)
-from repro.kernel.threads import ContextSwitchAccounting, SoftwareThread
+
+__getattr__ = lazy_exports(
+    globals(),
+    interrupts=("HwThreadDispatch", "IdtInterruptPath"),
+    io=("InterruptIoServer", "IoServerStats", "MwaitIoServer",
+        "PollingIoServer"),
+    syscalls=("FlexScPath", "HwThreadSyscallPath", "SyncSyscallPath",
+              "SyscallRunner"),
+    threads=("ContextSwitchAccounting", "SoftwareThread"))
 
 __all__ = [
     "SoftwareThread",

@@ -283,6 +283,26 @@ class TestClusterConfig:
         with pytest.raises(ConfigError, match=r"get_design\(\).*sw-threads"):
             ClusterConfig(design="sw-threads")
 
+    @pytest.mark.parametrize("field, value", [
+        ("link", None),
+        ("cross_rack_link", "fast"),
+        ("nodes", 2.0),
+        ("requests", 2.5),
+        ("fanout", "2"),
+        ("segments", 2.0),
+        ("cores_per_node", None),
+        ("threads_per_peer", 4.0),
+        ("racks", True),
+        ("shards", 1.5),
+        ("rtt_cycles", -5),
+        ("horizon_factor", -1),
+        ("horizon_factor", 0),
+    ])
+    def test_bad_input_fails_at_construction(self, field, value):
+        # each of these used to construct, then fail or misbehave mid-run
+        with pytest.raises(ConfigError, match=field):
+            ClusterConfig(**{field: value})
+
 
 class TestDeterminism:
     CONFIG = ClusterConfig(nodes=4, fanout=2, requests=40, load=0.3,
