@@ -1,14 +1,16 @@
-"""ISA dispatch bench: pre-decoded handler chains vs naive stepping.
+"""ISA dispatch bench: pre-decoded handler chains vs the naive oracle.
 
 Measures raw interpreter throughput (retired instructions per second of
 wall clock) on the three loop shapes that bound the decode cache's
 win -- fusable straight-line ALU blocks (best case), a cost-1 branchy
 loop (dispatch overhead only, no fusion), and a load/store loop (memory
 handlers) -- plus the full E15 experiment wall-clock, the ISA-heavy
-evaluation the decode path exists to keep cheap. Results land in the
-``isa_dispatch`` section of ``BENCH_engine.json``; the CI bench-smoke
-gate compares fresh predecode-on numbers against the committed
-baseline at the usual 25% tolerance.
+evaluation the decode path exists to keep cheap. The naive side runs
+the fetch-and-dispatch interpreter kept as the test oracle
+(``tests/naive_reference.py``). Results land in the ``isa_dispatch``
+section of ``BENCH_engine.json``; the CI bench-smoke gate compares
+fresh decoded numbers against the committed baseline at the usual 25%
+tolerance.
 
 Run:  PYTHONPATH=src python benchmarks/bench_isa_dispatch.py [--quick]
 """
@@ -72,20 +74,23 @@ WORKLOADS = {
 }
 
 
-def _run_once(source: str, iters: int, predecode: bool) -> float:
+def _run_once(source: str, iters: int, naive: bool) -> float:
     """One cold machine; returns retired instructions per wall second."""
-    from repro.machine import build_machine
+    from contextlib import nullcontext
 
-    machine = build_machine(cores=1, hw_threads_per_core=2,
-                            predecode=predecode)
+    from repro.machine import build_machine
+    from tests.naive_reference import naive_interpreter
+
+    machine = build_machine(cores=1, hw_threads_per_core=2)
     symbols = {"BUF": machine.alloc("buf", 64).base} \
         if "BUF" in source else None
     machine.load_asm(0, source.format(iters=iters), supervisor=True,
                      symbols=symbols)
     machine.boot(0)
-    start = time.perf_counter()
-    machine.run()
-    elapsed = time.perf_counter() - start
+    with naive_interpreter() if naive else nullcontext():
+        start = time.perf_counter()
+        machine.run()
+        elapsed = time.perf_counter() - start
     return machine.thread(0).instructions_executed / elapsed
 
 
@@ -94,10 +99,10 @@ def bench_workload(name: str, trials: int = 3,
     source, iters = WORKLOADS[name]
     iters //= scale
     decoded = naive = 0.0
-    _run_once(source, iters, True)       # warm caches before measuring
+    _run_once(source, iters, False)      # warm caches before measuring
     for _ in range(trials):
-        decoded = max(decoded, _run_once(source, iters, True))
-        naive = max(naive, _run_once(source, iters, False))
+        decoded = max(decoded, _run_once(source, iters, False))
+        naive = max(naive, _run_once(source, iters, True))
     return {
         "iters": iters,
         "predecode_instr_per_sec": round(decoded),
@@ -116,7 +121,7 @@ def micro_bench(scale: int = 1) -> dict:
 # ----------------------------------------------------------------------
 def test_bench_alu_dispatch(benchmark):
     source, iters = WORKLOADS["alu"]
-    ips = benchmark(_run_once, source, iters // 4, True)
+    ips = benchmark(_run_once, source, iters // 4, False)
     assert ips > 0
 
 

@@ -32,63 +32,96 @@ DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
 
 
 def isa_markdown() -> str:
-    from repro.isa.instructions import OPS
+    from repro.isa.decode import FUSABLE_OPS, MAKERS
+    from repro.isa.instructions import OPERAND_KINDS, OPS
 
     lines = [
         "# The simulated ISA",
         "",
         "A small RISC-like base plus the seven instructions of the",
-        "paper's Section 3.1. Operand kinds: `R` register, `I`",
-        "immediate, `RI` either, `N` register *name* (for rpull/rpush/",
-        "csr), `L` label. Latencies are base issue cycles; memory and",
+        "paper's Section 3.1. Latencies are base issue cycles, read from",
+        "the opcode table when a program is decoded; memory and",
         "thread-management costs are layered on from the CostModel.",
         "",
-        "| opcode | operands | latency | privileged | description |",
-        "|---|---|---|---|---|",
+        "## Operand kinds",
+        "",
+        "Every operand is checked against its kind when the",
+        "`Instruction` is built, so the assembler, `AsmTemplate` and",
+        "direct construction all reject a bad operand with an",
+        "`IsaError` when the program is loaded.",
+        "",
+        "| kind | accepts |",
+        "|---|---|",
+    ]
+    for kind, accepts in OPERAND_KINDS.items():
+        lines.append(f"| `{kind}` | {accepts} |")
+    lines += [
+        "",
+        "`R` and `RI` never name a control register. `pc`, `flags`,",
+        "`edp` and the supervisor-only `tdtr` and `priv` are reachable",
+        "only through the `N` operands of `csrr`/`csrw`/`rpull`/`rpush`,",
+        "which check privilege (and, for another ptid, its TDT",
+        "permissions) when they execute.",
+        "",
+        "## Opcodes",
+        "",
+        "*Defined in* names the one place each opcode's semantics live:",
+        "a maker in `repro.isa.decode` (the hot ops) or an",
+        "`HWCore._op_*` method (the cold ones).",
+        "",
+        "| opcode | operands | latency | privileged | defined in "
+        "| description |",
+        "|---|---|---|---|---|---|",
     ]
     for spec in OPS.values():
+        home = "`decode`" if spec.name in MAKERS else "`HWCore`"
         lines.append(
             f"| `{spec.name}` | {' '.join(spec.operands) or '-'} "
             f"| {spec.latency} | {'yes' if spec.privileged else ''} "
-            f"| {spec.description} |")
-    from repro.isa.decode import FUSABLE_OPS
+            f"| {home} | {spec.description} |")
     fusable = ", ".join(f"`{name}`" for name in sorted(FUSABLE_OPS))
     lines += [
         "",
         "## Pre-decoded handler chains",
         "",
-        "The interpreter does not re-parse `Instruction` tuples on the",
-        "hot path. The first time a `Program` runs on a core,",
-        "`repro.isa.decode` lowers it to a `DecodedProgram`: one bound",
-        "handler per instruction with operands resolved, labels turned",
-        "into indices, and the static issue latency folded in, cached",
-        "on the `Program` and shared by every hardware thread that runs",
-        "it. `HWCore` then dispatches through the decoded table instead",
-        "of the opcode `match`. Decoding is *behaviorally invisible*:",
-        "every experiment table is byte-identical with it on or off",
-        "(the `predecode-identity` CI job diffs E09 and E15), and E18",
-        "measures the mechanisms directly.",
+        "The decoder is the only interpreter. The first time a",
+        "`Program` runs on a core, `repro.isa.decode` lowers it to a",
+        "`DecodedProgram`: one bound handler per instruction with",
+        "operands resolved to register slots, labels turned into",
+        "indices, and the opcode's table latency folded in, cached on",
+        "the `Program` and shared by every hardware thread that runs",
+        "it. `HWCore` calls the handler at each issuing thread's pc;",
+        "a cold op's handler calls its `HWCore._op_*` method.",
         "",
         "### Superinstruction fusion",
         "",
-        "Straight-line runs (length >= 2) of pure register ALU ops --",
-        f"{fusable} --",
+        "Straight-line runs (length >= 2) of single-cycle pure register",
+        f"ALU ops -- {fusable} --",
         "are additionally fused into one superinstruction that retires",
         "the whole run in a single engine event, charging the summed",
         "latency. A fused run only executes from its *first* index; a",
         "jump into the middle of a run falls back to the per-",
         "instruction handlers, and anything that can observe",
         "mid-run state (stops, faults) rewinds via an undo log so",
-        "architectural state is exactly what naive stepping produces.",
+        "architectural state is exactly what instruction-at-a-time",
+        "issue produces. E18 measures fusion against per-instruction",
+        "issue.",
         "",
-        "### Turning it off",
+        "### Tracing and the oracle",
         "",
-        "`build_machine(predecode=False)` or `REPRO_NO_PREDECODE=1`",
-        "forces the naive interpreter (the env var is how CI proves",
-        "identity). Attaching an instruction tracer also falls back to",
-        "naive stepping, since tracing wants one event per instruction.",
+        "There is no switch that turns decoding off. A machine built",
+        "with `trace=True` decodes each program privately with fusion",
+        "blocked at every index (the program's shared fused chain is",
+        "left alone), so its tracer records one `issue` event per",
+        "instruction. The naive fetch-and-dispatch interpreter lives in",
+        "`tests/naive_reference.py` as the oracle: the equivalence",
+        "tests, the hypothesis property and the latency-table tests",
+        "check decoded runs against it (architectural state, counters,",
+        "clock and the traced record stream), and E09 and E15 quick",
+        "JSON must be byte-identical under it.",
         "`benchmarks/bench_isa_dispatch.py` records the wall-clock win",
-        "per loop shape in `BENCH_engine.json` (`isa_dispatch`).",
+        "over the oracle per loop shape in `BENCH_engine.json`",
+        "(`isa_dispatch`).",
         "",
         "## Weighted round-robin issue",
         "",

@@ -91,7 +91,8 @@ class DirectoryModel:
         self.disarm_cycles_total = 0
         self.forward_cycles_total = 0
         #: writer-side cost of the most recent write through the bus --
-        #: the issuing store instruction reads this (see HWCore._op_st)
+        #: the issuing store instruction reads this (see
+        #: repro.isa.decode._make_st)
         self.last_write_cycles = 0
 
     # ------------------------------------------------------------------

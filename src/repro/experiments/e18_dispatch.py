@@ -8,10 +8,13 @@ measured here, both required to be *behaviorally invisible*:
 
 - **pre-decoded handler chains** (``repro.isa.decode``): operands
   resolved once, labels to indices, straight-line ALU runs fused into
-  superinstructions. The dispatch table claims byte-identical results
-  to the naive interpreter while doing asymptotically less per-cycle
-  work -- measured here as retired instructions per engine event (the
-  deterministic proxy for dispatch cost; wall-clock lives in
+  superinstructions. Fusion claims byte-identical results to
+  per-instruction issue -- the same chain with fusion blocked, which
+  is what a traced machine runs -- while doing asymptotically less
+  per-cycle work, measured here as retired instructions per engine
+  event (the deterministic proxy for dispatch cost; wall-clock against
+  the naive fetch-and-dispatch reference in
+  ``tests/naive_reference.py`` lives in
   ``benchmarks/bench_isa_dispatch.py``).
 - **credit-based weighted round-robin issue** (Section 4: "hardware
   support for thread priorities"): the core's O(1) ring-walk arbiter,
@@ -30,7 +33,6 @@ from typing import Dict
 
 from repro.analysis.report import ExperimentResult, Verdict
 from repro.analysis.tables import Table
-from repro.cluster import ClusterConfig, DESIGNS, run_cluster
 from repro.experiments.registry import register
 from repro.machine import build_machine
 
@@ -39,8 +41,8 @@ WEIGHTS = (4, 2, 1)
 #: loop body: always-issueable cost-1 instructions (no fusion, no
 #: bursts) so the arbiter decides every single cycle
 _SPIN = "loop:\n    addi r1, r1, 1\n    jmp loop"
-#: fusable straight-line block + backward branch: the decoded path's
-#: best case, the naive interpreter's per-instruction worst case
+#: fusable straight-line block + backward branch: fusion's best case,
+#: per-instruction issue's worst case
 _ALU_LOOP = """
     movi r9, {iters}
     work 1           ; run break: the fused run must START at loop,
@@ -77,7 +79,9 @@ def _spin_profile(weights, horizon: int) -> Dict[int, int]:
             for ptid in range(len(weights))}
 
 
-def _dispatch_cell(predecode: bool, iters: int) -> Dict[str, int]:
+def _dispatch_cell(traced: bool, iters: int) -> Dict[str, int]:
+    """The ALU loop on a fused (untraced) or per-instruction (traced)
+    core."""
     # the engine-event count IS the measurement here, and it depends on
     # the stepping mode -- so the cell pins fast-forward on (shipped
     # configuration) rather than inherit REPRO_NO_FASTFORWARD, keeping
@@ -85,7 +89,7 @@ def _dispatch_cell(predecode: bool, iters: int) -> Dict[str, int]:
     # other experiment (whose tables report architectural state only)
     prior = os.environ.pop("REPRO_NO_FASTFORWARD", None)
     try:
-        machine = build_machine(predecode=predecode, hw_threads_per_core=2)
+        machine = build_machine(trace=traced, hw_threads_per_core=2)
         machine.load_asm(0, _ALU_LOOP.format(iters=iters), supervisor=True)
         machine.boot(0)
         machine.run()
@@ -100,28 +104,6 @@ def _dispatch_cell(predecode: bool, iters: int) -> Dict[str, int]:
     }
 
 
-def _cluster_summary(nodes: int, requests: int, seed: int,
-                     predecode: bool) -> Dict[str, float]:
-    """One E15-style ISA cell with the decode path toggled by env."""
-    config = ClusterConfig(
-        nodes=nodes, design=DESIGNS["hw-threads"], policy="round-robin",
-        fanout=1, load=0.06, mean_service_cycles=4_000, segments=2,
-        rtt_cycles=20_000, requests=requests, threads_per_peer=4,
-        backend="isa")
-    prior = os.environ.get("REPRO_NO_PREDECODE")
-    try:
-        if predecode:
-            os.environ.pop("REPRO_NO_PREDECODE", None)
-        else:
-            os.environ["REPRO_NO_PREDECODE"] = "1"
-        return dict(run_cluster(config, seed=seed).summary)
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_NO_PREDECODE", None)
-        else:
-            os.environ["REPRO_NO_PREDECODE"] = prior
-
-
 @register("E18", "Interpreter raw speed: pre-decoded dispatch + "
                  "O(1) weighted-round-robin issue",
           'Section 4 ("Support for Thread Scheduling") + evaluation '
@@ -129,7 +111,6 @@ def _cluster_summary(nodes: int, requests: int, seed: int,
 def run(quick: bool = False, seed: int = 0xC0FFEE) -> ExperimentResult:
     horizon = 14_000 if quick else 70_000
     iters = 200 if quick else 2_000
-    requests = 20 if quick else 60
     result = ExperimentResult(
         "E18", "Interpreter raw speed: pre-decoded dispatch + "
                "O(1) weighted-round-robin issue")
@@ -161,29 +142,26 @@ def run(quick: bool = False, seed: int = 0xC0FFEE) -> ExperimentResult:
     result.add_table(degenerate)
 
     # -- table 3: decoded dispatch cost + byte-identity ---------------
-    decoded = _dispatch_cell(True, iters)
-    naive = _dispatch_cell(False, iters)
-    batching = (naive["events"] / decoded["events"]
+    decoded = _dispatch_cell(False, iters)
+    unfused = _dispatch_cell(True, iters)
+    batching = (unfused["events"] / decoded["events"]
                 if decoded["events"] else float("inf"))
     dispatch = Table(["interpreter", "instructions", "cycles",
                       "engine events", "events/instr"],
                      title=f"Tight ALU loop ({iters} iterations): "
                            f"dispatch work per retired instruction")
-    for label, cell in (("pre-decoded", decoded), ("naive", naive)):
+    for label, cell in (("pre-decoded", decoded),
+                        ("per-instruction", unfused)):
         dispatch.add_row(label, cell["instructions"], cell["cycles"],
                          cell["events"],
                          f"{cell['events'] / cell['instructions']:.3f}")
     result.add_table(dispatch)
 
-    cluster_on = _cluster_summary(2, requests, seed, predecode=True)
-    cluster_off = _cluster_summary(2, requests, seed, predecode=False)
-
     result.data["wrr_shares"] = wrr
     result.data["uniform"] = {"rr": uniform_rr, "wrr": uniform_wrr}
-    result.data["dispatch"] = {"decoded": decoded, "naive": naive,
+    result.data["dispatch"] = {"decoded": decoded,
+                               "per_instruction": unfused,
                                "event_batching": round(batching, 2)}
-    result.data["cluster_identity"] = {"predecode": cluster_on,
-                                       "naive": cluster_off}
 
     # -- claims -------------------------------------------------------
     result.add_claim(
@@ -201,15 +179,15 @@ def run(quick: bool = False, seed: int = 0xC0FFEE) -> ExperimentResult:
         else f"diverged: {uniform_wrr} vs {uniform_rr}",
         Verdict.SUPPORTED if uniform_wrr == uniform_rr
         else Verdict.REFUTED)
-    same_arch = (decoded["instructions"] == naive["instructions"]
-                 and decoded["cycles"] == naive["cycles"])
+    same_arch = (decoded["instructions"] == unfused["instructions"]
+                 and decoded["cycles"] == unfused["cycles"])
     result.add_claim(
-        "pre-decoded dispatch is behaviorally invisible",
+        "superinstruction fusion is behaviorally invisible",
         "identical retirement counts and final clock; only engine "
         "events (dispatch work) may drop",
         f"instructions {decoded['instructions']} == "
-        f"{naive['instructions']}, cycles {decoded['cycles']} == "
-        f"{naive['cycles']}" if same_arch else "MISMATCH",
+        f"{unfused['instructions']}, cycles {decoded['cycles']} == "
+        f"{unfused['cycles']}" if same_arch else "MISMATCH",
         Verdict.SUPPORTED if same_arch else Verdict.REFUTED)
     result.add_claim(
         "decoded chains + fusion cut dispatch work >= 3x on ALU code",
@@ -217,12 +195,4 @@ def run(quick: bool = False, seed: int = 0xC0FFEE) -> ExperimentResult:
         "wall-clock counterpart is benchmarks/bench_isa_dispatch.py)",
         f"{batching:.1f}x fewer engine events",
         Verdict.SUPPORTED if batching >= 3.0 else Verdict.PARTIAL)
-    result.add_claim(
-        "the decode path is byte-invisible at cluster scale",
-        "E15-style ISA cell: identical latency summary with the "
-        "decode cache on and off",
-        "summaries identical" if cluster_on == cluster_off
-        else "summaries diverged",
-        Verdict.SUPPORTED if cluster_on == cluster_off
-        else Verdict.REFUTED)
     return result

@@ -25,8 +25,7 @@ class Chip:
                  security_model: str = "tdt",
                  rf_bytes: int = 64 * 1024,
                  tracer: Optional[Any] = None,
-                 fast_forward: bool = True,
-                 predecode: bool = True):
+                 fast_forward: bool = True):
         if cores < 1:
             raise ConfigError(f"chip needs at least one core, got {cores}")
         self.engine = engine
@@ -40,7 +39,7 @@ class Chip:
                 engine, memory, core_id=core_id, num_ptids=num_ptids,
                 smt_width=smt_width, costs=self.costs, storage=storage,
                 security_model=security_model, tracer=tracer,
-                fast_forward=fast_forward, predecode=predecode))
+                fast_forward=fast_forward))
 
     def core(self, core_id: int) -> HWCore:
         if not 0 <= core_id < len(self.cores):
@@ -78,9 +77,8 @@ class Chip:
                 f"migration target ptid {to_ptid} must be disabled")
         dest.program = source.program
         dest._fused = None
-        dest._decoded = source.program.decoded(type(dest_core)._DISPATCH) \
-            if (source.program is not None
-                and dest_core.predecode_enabled) else None
+        dest._decoded = dest_core._decode(source.program) \
+            if source.program is not None else None
         dest.finished = source.finished
         dest.priority = source.priority
         dest_core.arbiter.note_priority()

@@ -11,6 +11,11 @@ paper's "emulates processor sharing". When no ptid is runnable the core
 blocks on a wake signal (there is no idle loop and no timer tick: the
 whole point of the design).
 
+Instructions execute through each program's pre-decoded handler chain
+(:mod:`repro.isa.decode`). The decoder's makers define the hot opcodes;
+the ``_op_*`` methods here define the cold ones (thread management,
+CSRs, traps, ``fwork`` and the vector ops), each exactly once.
+
 Thread management instructions resolve vtids through the caller's TDT
 (its ``tdtr`` register names the memory-resident table) with a
 TDT cache that only ``invtid`` invalidates. Supervisor-mode ptids with
@@ -30,7 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.arch.costs import CostModel
 from repro.arch.registers import RegisterClass
-from repro.errors import ConfigError, GuestFault, IsaError, TripleFault
+from repro.errors import ConfigError, GuestFault, TripleFault
 from repro.hw.exceptions import ExceptionDescriptor, ExceptionKind
 from repro.hw.issue import WeightedRoundRobinIssue
 from repro.hw.keys import KeyRegistry
@@ -38,7 +43,7 @@ from repro.hw.monitor import MonitorUnit
 from repro.hw.ptid import HardwareThread, PtidState
 from repro.hw.storage import ThreadStateStore
 from repro.hw.tdt import Permission, TdtCache, TdtEntry
-from repro.isa.instructions import Instruction, Label, Reg
+from repro.isa.instructions import Reg
 from repro.isa.program import Program
 from repro.mem.memory import Memory
 from repro.sim.process import AnyOf, Signal
@@ -56,8 +61,7 @@ class HWCore:
                  storage: Optional[ThreadStateStore] = None,
                  security_model: str = "tdt",
                  tracer: Optional[Any] = None,
-                 fast_forward: bool = True,
-                 predecode: bool = True):
+                 fast_forward: bool = True):
         if num_ptids < 1:
             raise ConfigError(f"core needs at least one ptid, got {num_ptids}")
         if smt_width < 1:
@@ -94,15 +98,9 @@ class HWCore:
             bool(fast_forward)
             and os.environ.get("REPRO_NO_FASTFORWARD", "") not in ("1", "true", "yes")
         )
-        # REPRO_NO_PREDECODE=1 forces the naive interpreter everywhere
-        # (the reference mode the decode-identity gates diff against).
-        # An enabled tracer also falls back to naive interpretation:
-        # the decoded fast path skips the per-instruction trace emit.
-        self.predecode_enabled = (
-            bool(predecode)
-            and os.environ.get("REPRO_NO_PREDECODE", "") not in ("1", "true", "yes")
-            and not getattr(tracer, "enabled", False)
-        )
+        # a core whose tracer is on at construction runs unfused chains
+        # and emits one `issue` record per instruction (see _decode)
+        self._traced = bool(getattr(tracer, "enabled", False))
         #: ptid-ordered runnable threads, rebuilt lazily after any state
         #: transition (see HardwareThread._note_transition)
         self._runnable_cache: Optional[List[HardwareThread]] = None
@@ -137,8 +135,7 @@ class HWCore:
         thread.finished = False
         thread.arch.pc = pc
         thread._fused = None
-        thread._decoded = program.decoded(HWCore._DISPATCH) \
-            if self.predecode_enabled else None
+        thread._decoded = self._decode(program)
         if supervisor is not None:
             thread.arch.priv = 1 if supervisor else 0
         if edp is not None:
@@ -146,6 +143,21 @@ class HWCore:
         if tdtr is not None:
             thread.arch.tdtr = tdtr
         return thread
+
+    def _decode(self, program: Program):
+        """The handler chain this core runs ``program`` with.
+
+        Untraced cores share the chain cached on the program, fusion
+        included. A traced core decodes a private chain with fusion
+        blocked at every index, so each instruction issues -- and is
+        traced -- on its own; ``Program._decoded_cache`` keeps the fused
+        chain the untraced cores share.
+        """
+        if not self._traced:
+            return program.decoded(HWCore._DISPATCH)
+        from repro.isa.decode import decode_program
+        return decode_program(program, HWCore._DISPATCH,
+                              no_fuse=range(len(program)))
 
     def boot(self, ptid: int) -> None:
         """Make a ptid runnable at setup time, free of charge."""
@@ -457,72 +469,39 @@ class HWCore:
             thread.cycles_busy += 1
             self.storage.touch(thread.ptid)
             return
+        # the chain's sentinel slot at pc == len (and the bounds check
+        # for wild jumps) is the implicit halt, as is issuing a ptid that
+        # was never given a program
         decoded = thread._decoded
-        if decoded is not None:
-            # pre-decoded dispatch (repro.isa.decode): no fetch/raise,
-            # no dict probe, no isinstance, no per-issue f-string. The
-            # sentinel slot at pc == len (and the bounds check for wild
-            # jumps) reproduces the implicit halt.
-            pc = thread.arch.pc
-            handler = decoded.handlers[pc] if 0 <= pc < decoded.size \
-                else None
-            if handler is None:
-                self._halt_thread(thread)
-                return
-            now = self.engine.now
-            try:
-                cost = handler(self, thread)
-            except GuestFault as fault:
-                self._raise_exception(
-                    thread, ExceptionKind.from_guest_fault_kind(fault.kind),
-                    address=fault.faulting_address)
-                cost = handler.latency
-            thread.busy_until = now + cost
-            thread.last_issue_time = now
-            thread.instructions_executed += 1
-            thread.cycles_busy += cost
-            self.instructions_retired += 1
-            self.storage.touch(thread.ptid)
-            return
-        if thread.program is None:
+        pc = thread.arch.pc
+        handler = decoded.handlers[pc] \
+            if decoded is not None and 0 <= pc < decoded.size else None
+        if handler is None:
             self._halt_thread(thread)
             return
+        now = self.engine.now
         try:
-            instruction = thread.program.fetch(thread.arch.pc)
-        except IsaError:
-            # running off the end of the program is an implicit halt
-            self._halt_thread(thread)
-            return
-        thread.arch.pc += 1
-        cost = max(self._execute(thread, instruction), 1)
-        thread.busy_until = self.engine.now + cost
-        thread.last_issue_time = self.engine.now
-        thread.instructions_executed += 1
-        thread.cycles_busy += cost
-        self.instructions_retired += 1
-        self.storage.touch(thread.ptid)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit("issue", f"core{self.core_id} ptid{thread.ptid}"
-                        f" {instruction}", cost=cost)
-
-    # ==================================================================
-    # instruction semantics
-    # ==================================================================
-    def _execute(self, thread: HardwareThread, instruction: Instruction) -> int:
-        handler = self._DISPATCH.get(instruction.op)
-        if handler is None:  # pragma: no cover - OPS and dispatch are in sync
-            self._raise_exception(thread, ExceptionKind.ILLEGAL_INSTRUCTION)
-            return instruction.spec.latency
-        try:
-            extra = handler(self, thread, instruction.operands)
+            cost = handler(self, thread)
         except GuestFault as fault:
             self._raise_exception(
                 thread, ExceptionKind.from_guest_fault_kind(fault.kind),
                 address=fault.faulting_address)
-            return instruction.spec.latency
-        return instruction.spec.latency + (extra or 0)
+            cost = handler.latency
+        thread.busy_until = now + cost
+        thread.last_issue_time = now
+        thread.instructions_executed += 1
+        thread.cycles_busy += cost
+        self.instructions_retired += 1
+        self.storage.touch(thread.ptid)
+        if self._traced:
+            self.tracer.emit(
+                "issue", f"core{self.core_id} ptid{thread.ptid}"
+                f" {thread.program.instructions[pc]}", cost=cost)
 
+    # ==================================================================
+    # the cold instructions' semantics (the hot ones are the makers in
+    # repro.isa.decode, which reach these through _generic)
+    # ==================================================================
     # --- operand helpers ------------------------------------------------
     @staticmethod
     def _reg(thread: HardwareThread, operand: Reg) -> int:
@@ -535,139 +514,7 @@ class HWCore:
             return thread.arch.read(operand.name)
         return operand.value
 
-    @staticmethod
-    def _target(thread: HardwareThread, operand) -> int:
-        """Branch target: label resolved through the thread's program."""
-        if isinstance(operand, Label):
-            return thread.program.resolve(operand.name)
-        return operand.value
-
-    # --- base ALU ---------------------------------------------------------
-    def _op_nop(self, thread, ops):
-        return 0
-
-    def _op_movi(self, thread, ops):
-        thread.arch.write(ops[0].name, ops[1].value)
-        return 0
-
-    def _op_mov(self, thread, ops):
-        thread.arch.write(ops[0].name, self._reg(thread, ops[1]))
-        return 0
-
-    def _binop(self, thread, ops, fn) -> int:
-        thread.arch.write(ops[0].name,
-                          fn(self._reg(thread, ops[1]), self._reg(thread, ops[2])))
-        return 0
-
-    def _op_add(self, thread, ops):
-        return self._binop(thread, ops, lambda a, b: a + b)
-
-    def _op_sub(self, thread, ops):
-        return self._binop(thread, ops, lambda a, b: a - b)
-
-    def _op_mul(self, thread, ops):
-        return self._binop(thread, ops, lambda a, b: a * b)
-
-    def _op_div(self, thread, ops):
-        divisor = self._reg(thread, ops[2])
-        if divisor == 0:
-            self._raise_exception(thread, ExceptionKind.DIV_ZERO)
-            return 0
-        return self._binop(thread, ops, lambda a, b: a // b)
-
-    def _op_and_(self, thread, ops):
-        return self._binop(thread, ops, lambda a, b: a & b)
-
-    def _op_or_(self, thread, ops):
-        return self._binop(thread, ops, lambda a, b: a | b)
-
-    def _op_xor(self, thread, ops):
-        return self._binop(thread, ops, lambda a, b: a ^ b)
-
-    def _op_addi(self, thread, ops):
-        thread.arch.write(ops[0].name, self._reg(thread, ops[1]) + ops[2].value)
-        return 0
-
-    def _op_shl(self, thread, ops):
-        thread.arch.write(ops[0].name, self._reg(thread, ops[1]) << ops[2].value)
-        return 0
-
-    def _op_shr(self, thread, ops):
-        thread.arch.write(ops[0].name, self._reg(thread, ops[1]) >> ops[2].value)
-        return 0
-
-    # --- memory -----------------------------------------------------------
-    def _op_ld(self, thread, ops):
-        addr = self._reg(thread, ops[1]) + ops[2].value
-        thread.arch.write(ops[0].name, self.memory.load(addr))
-        return self.costs.l1_hit_cycles
-
-    def _op_st(self, thread, ops):
-        addr = self._reg(thread, ops[0]) + ops[1].value
-        self.memory.store(addr, self._reg(thread, ops[2]),
-                          source=thread.mem_source)
-        coherence = self.memory.watch_bus.coherence
-        if coherence is not None:
-            # writer-side directory charge: invalidating the sharers of
-            # a watched line is not free (0 for untracked lines)
-            return self.costs.l1_hit_cycles + coherence.last_write_cycles
-        return self.costs.l1_hit_cycles
-
-    def _op_faa(self, thread, ops):
-        addr = self._reg(thread, ops[1])
-        new = self.memory.fetch_add(
-            addr, ops[2].value, source=thread.mem_source)
-        thread.arch.write(ops[0].name, new)
-        coherence = self.memory.watch_bus.coherence
-        if coherence is not None:
-            return self.costs.l1_hit_cycles + coherence.last_write_cycles
-        return self.costs.l1_hit_cycles
-
-    # --- control flow -------------------------------------------------------
-    def _op_jmp(self, thread, ops):
-        thread.arch.pc = self._target(thread, ops[0])
-        return 0
-
-    def _branch(self, thread, ops, cond) -> int:
-        if cond(self._reg(thread, ops[0]), self._reg(thread, ops[1])):
-            thread.arch.pc = self._target(thread, ops[2])
-        return 0
-
-    def _op_beq(self, thread, ops):
-        return self._branch(thread, ops, lambda a, b: a == b)
-
-    def _op_bne(self, thread, ops):
-        return self._branch(thread, ops, lambda a, b: a != b)
-
-    def _op_blt(self, thread, ops):
-        return self._branch(thread, ops, lambda a, b: a < b)
-
-    def _op_bge(self, thread, ops):
-        return self._branch(thread, ops, lambda a, b: a >= b)
-
-    def _op_jal(self, thread, ops):
-        thread.arch.write(ops[0].name, thread.arch.pc)  # already advanced
-        thread.arch.pc = self._target(thread, ops[1])
-        return 0
-
-    def _op_jr(self, thread, ops):
-        thread.arch.pc = self._reg(thread, ops[0])
-        return 0
-
-    def _op_halt(self, thread, ops):
-        self._halt_thread(thread)
-        return 0
-
     # --- modeling pseudo-ops ---------------------------------------------
-    def _op_work(self, thread, ops):
-        # the first cycle issues now; the remainder occupy the thread's
-        # issue slot on subsequent rounds (see _issue_one). Re-arming
-        # work_remaining retires any stale fused-run undo record: from
-        # here on a positive count means `work`, not a fused run.
-        thread.work_remaining = max(ops[0].value - 1, 0)
-        thread._fused = None
-        return 0
-
     def _op_fwork(self, thread, ops):
         thread.arch.vector_dirty = True
         thread.work_remaining = max(ops[0].value - 1, 0)
@@ -679,17 +526,8 @@ class HWCore:
         return 0
 
     def _op_vadd(self, thread, ops):
-        return self._binop(thread, ops, lambda a, b: a + b)
-
-    # --- monitor / mwait ---------------------------------------------------
-    def _op_monitor(self, thread, ops):
-        # the return is the directory arm cost: joining the line's
-        # sharer set (0 on the flat bus, the default)
-        return thread.monitor.arm(self._reg(thread, ops[0]))
-
-    def _op_mwait(self, thread, ops):
-        if thread.monitor.wait():
-            thread.make_waiting()
+        thread.arch.write(ops[0].name, self._reg(thread, ops[1])
+                          + self._reg(thread, ops[2]))
         return 0
 
     # --- thread management -------------------------------------------------
@@ -777,6 +615,8 @@ class HWCore:
         self.keys.set_key(thread.ptid, self._reg(thread, ops[0]))
         return 0
 
+    #: opcode -> cold-op method, filled in from the _op_* methods once
+    #: the class is defined
     _DISPATCH: Dict[str, Callable] = {}
 
     # ==================================================================
@@ -877,7 +717,7 @@ class HWCore:
         self.halted = True
         self.halt_reason = (f"triple fault: ptid {thread.ptid} raised "
                             f"{kind.name} with no exception handler (edp=0)")
-        # freeze every thread at the state naive stepping would show
+        # freeze every thread at its instruction-at-a-time state
         for other in self.threads:
             self._materialize_fused(other)
         thread.make_disabled()
@@ -894,12 +734,12 @@ class HWCore:
 
         A fused run executes all its register effects on the first pick
         and burns the remaining cycles through ``work_remaining``; an
-        external stop (or a core halt) can land mid-burn, where naive
-        stepping would only have executed a prefix. Restore the undo
-        snapshot, replay the completed prefix, park the pc on the first
-        unexecuted instruction, and roll back the pre-credited
-        retirement counters -- after this the thread is byte-identical
-        to its naive twin.
+        external stop (or a core halt) can land mid-burn, where
+        instruction-at-a-time execution would only have executed a
+        prefix. Restore the undo snapshot, replay the completed prefix,
+        park the pc on the first unexecuted instruction, and roll back
+        the pre-credited retirement counters -- after this the thread is
+        byte-identical to its unfused twin.
         """
         fused = thread._fused
         if fused is None:
@@ -944,7 +784,7 @@ class HWCore:
         return wakeup
 
 
-# Build the dispatch table once, from the _op_* methods.
+# Build the cold-op table once, from the _op_* methods.
 HWCore._DISPATCH = {
     name[4:]: getattr(HWCore, name)
     for name in dir(HWCore) if name.startswith("_op_")

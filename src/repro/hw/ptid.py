@@ -47,7 +47,7 @@ class HardwareThread:
         self.work_remaining: int = 0  # cycles left of a `work` instruction
         self.last_issue_time: int = 0
         # pre-decoded execution (repro.isa.decode): the program's
-        # handler chain (None -> naive interpretation) and the undo
+        # handler chain (None until a program is loaded) and the undo
         # record of an in-flight fused superinstruction
         self._decoded = None
         self._fused = None

@@ -13,8 +13,11 @@ Syntax, one instruction per line::
         halt
 
 Operand parsing is driven by the opcode's spec: ``R`` operands must be
-register tokens, ``RI`` accepts either, ``N`` is a symbolic register
-name, ``L`` a label or absolute index. Immediates may be decimal,
+general registers (``r0``-``r15``), ``V`` vector registers, ``RI``
+accepts a general register or an immediate, ``N`` is a symbolic
+register name, ``L`` a label or absolute index. The register classes
+are checked by :class:`Instruction` itself; the assembler only adds
+the line number to its error. Immediates may be decimal,
 negative, or ``0x`` hex, and may reference ``symbols`` passed by the
 caller (e.g. buffer addresses allocated at build time)::
 
@@ -129,11 +132,16 @@ class AsmTemplate:
                 else:
                     operands.append(_parse_operand(
                         line_no, op, token, kind, labels, symbols))
+            # holes are checked with a placeholder immediate, so a bad
+            # register fails here rather than at instantiate time
+            checked = _instruction(line_no, op, [
+                Imm(0) if operand is None else operand
+                for operand in operands])
             if hole_slots:
                 self._entries.append((op, operands, hole_slots))
                 self._holes.append(index)
             else:
-                self._entries.append(Instruction(op, tuple(operands)))
+                self._entries.append(checked)
         self._hole_set = frozenset(self._holes)
         # decode sharing (filled on first decode_instance call)
         self._proto_decoded = None
@@ -241,14 +249,22 @@ def _parse_instruction(line_no: int, text: str, labels: Dict[str, int],
     operands = []
     for token, kind in zip(tokens, spec.operands):
         operands.append(_parse_operand(line_no, op, token, kind, labels, symbols))
-    return Instruction(op, tuple(operands))
+    return _instruction(line_no, op, operands)
+
+
+def _instruction(line_no: int, op: str, operands) -> Instruction:
+    """Build the instruction; its operand-kind check gets the line."""
+    try:
+        return Instruction(op, tuple(operands))
+    except IsaError as error:
+        raise IsaError(f"line {line_no}: {error}") from None
 
 
 def _parse_operand(line_no: int, op: str, token: str, kind: str,
                    labels: Dict[str, int], symbols: Dict[str, int]):
     if not token:
         raise IsaError(f"line {line_no}: empty operand in {op}")
-    if kind == "R":
+    if kind in ("R", "V"):
         if _REGISTER_RE.match(token):
             return Reg(token)
         raise IsaError(f"line {line_no}: {op} needs a register, got {token!r}")

@@ -1,18 +1,24 @@
-"""Pre-decoded handler chains: the interpreter with decode hoisted out.
+"""Pre-decoded handler chains: the one interpreter of the ISA.
 
-The naive interpreter in :mod:`repro.hw.core` re-decodes every
-instruction on every issue: a ``_DISPATCH`` dict probe, per-operand
-``isinstance`` checks, register access by string name, and runtime
-label resolution. None of that depends on anything but the program
-text, so this module does it once: each :class:`Instruction` is
-compiled into a closure ``handler(core, thread) -> cost`` with
+Each :class:`Instruction` of a program is compiled once into a closure
+``handler(core, thread) -> cost`` with
 
 - register operands resolved to GPR list indices (read/written
   directly, bypassing ``ArchState.read``/``write`` string dispatch),
 - ``Label`` branch targets resolved to instruction indices,
-- the constant base latency folded into the returned cost, and
+- the opcode table's base latency (``OPS[op].latency``) folded into the
+  returned cost, and
 - the fall-through pc captured as a constant (``pc`` is assigned
-  exactly once per instruction, mirroring the naive pre-advance).
+  exactly once per instruction, before anything can fault).
+
+The makers in :data:`MAKERS` are the only definition of the hot
+opcodes' semantics. They need no fallback: :class:`Instruction` only
+admits GPRs in ``R`` operands, so every operand they see is a plain
+``rN`` slot, an immediate or a branch target. The cold tail
+(thread management, CSRs, traps, vector ops) is defined once, by
+``HWCore._op_*``, and reached through :func:`_generic`. The naive
+fetch-and-dispatch interpreter the handlers are checked against lives
+in ``tests/naive_reference.py``.
 
 Straight-line runs of single-cycle, pure-GPR ALU instructions are
 additionally *fused* into superinstructions: the first pick executes
@@ -23,31 +29,30 @@ per instruction while the cycle-for-cycle issue pattern other threads
 observe stays identical. An undo log makes the fusion invisible to
 external observers: if the thread is stopped or the core halts
 mid-run, :meth:`repro.hw.core.HWCore._materialize_fused` rewinds to
-the exact architectural state naive stepping would show.
+the exact architectural state instruction-at-a-time execution would
+show. A traced core decodes with fusion blocked at every index, so its
+tracer sees one ``issue`` record per instruction.
 
-Cost contract (mirrors ``HWCore._execute`` + ``_issue_one``): every
-handler returns the *total* cost (base latency plus any dynamic
-extra), always >= 1; a handler that raises :class:`GuestFault` is
-charged its ``latency`` attribute (the base latency) by the
-dispatcher, exactly like the naive path. Handlers assign
-``thread.arch.pc`` before any faulting access so the exception
-descriptor's ``faulting_pc = pc - 1`` arithmetic is unchanged.
+Cost contract (enforced by ``HWCore._issue_one``): every handler
+returns the *total* cost (base latency plus any dynamic extra), always
+>= 1; a handler that raises :class:`GuestFault` is charged its
+``latency`` attribute (the base latency) by the dispatcher. Handlers
+assign ``thread.arch.pc`` before any faulting access so the exception
+descriptor's ``faulting_pc = pc - 1`` arithmetic holds.
 
 The decoded table has ``len(program) + 1`` slots; the extra slot holds
-``None``, the HALT sentinel: running off the end of the program (the
-implicit halt that :meth:`Program.fetch` signals with an ``IsaError``)
-becomes a plain ``is None`` check, so the hot loop never raises. Wild
-jumps outside ``[0, len]`` are bounds-checked by the dispatcher and
-halt identically.
+``None``, the HALT sentinel: running off the end of the program is an
+implicit halt, a plain ``is None`` check, so the hot loop never
+raises. Wild jumps outside ``[0, len]`` are bounds-checked by the
+dispatcher and halt identically.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Container, Dict, List, Optional
 
-from repro.arch.registers import GPR_COUNT
 from repro.errors import IsaError
-from repro.isa.instructions import Imm, Instruction, Label, OPS, Reg
+from repro.isa.instructions import Instruction, Label, OPS
 
 Handler = Callable[..., int]
 
@@ -78,24 +83,17 @@ class FusedRun:
 # ----------------------------------------------------------------------
 # operand helpers
 # ----------------------------------------------------------------------
-def _gpr(operand) -> Optional[int]:
-    """GPR slot index for a plain ``rN`` register operand, else None."""
-    if not isinstance(operand, Reg):
-        return None
-    name = operand.name
-    if name[0] == "r" and name[1:].isdigit():
-        index = int(name[1:])
-        if 0 <= index < GPR_COUNT:
-            return index
-    return None
+def _gpr(operand) -> int:
+    """GPR slot index of an ``R`` operand (``Instruction`` checked it)."""
+    return int(operand.name[1:])
 
 
 def _resolve_target(operand, program) -> Optional[int]:
     """Branch target as an instruction index, or None if undefined.
 
-    Undefined labels keep the naive behavior (an ``IsaError`` raised at
-    execution time, not at decode time): a dangling branch that never
-    executes must not break loading.
+    An undefined label raises ``IsaError`` when the branch executes,
+    not at decode time: a dangling branch that never runs must not
+    break loading.
     """
     if isinstance(operand, Label):
         if operand.name in program.labels:
@@ -105,15 +103,12 @@ def _resolve_target(operand, program) -> Optional[int]:
 
 
 # ----------------------------------------------------------------------
-# per-op handler builders. Each returns handler(core, thread) -> cost.
+# per-op handler builders. Each maker takes (instruction, next_pc,
+# latency, program) and returns handler(core, thread) -> cost.
 # ----------------------------------------------------------------------
-def _generic(op: str, operands, next_pc: int, latency: int,
-             method) -> Handler:
-    """Fallback: delegate to the naive ``_op_*`` semantics.
+def _generic(operands, next_pc: int, latency: int, method) -> Handler:
+    """A cold op: delegate to its ``HWCore._op_*`` semantics.
 
-    Used for the cold thread-management/CSR tail and for any operand
-    shape the fast builders do not special-case (e.g. ``movi pc, 5`` --
-    the assembler accepts special registers wherever ``R`` is legal).
     The per-instruction constants (bound method, operand tuple, base
     latency, next pc) are still resolved once.
     """
@@ -125,39 +120,29 @@ def _generic(op: str, operands, next_pc: int, latency: int,
     return run
 
 
-def _make_alu(instruction: Instruction, next_pc: int) -> Optional[Handler]:
-    """Fast single-instruction handler for a pure-GPR ALU op, or None."""
+def _make_alu(instruction: Instruction, next_pc: int, latency: int,
+              program) -> Handler:
     effect = _alu_effect(instruction)
-    if effect is None:
-        return None
 
     def run(core, thread):
         arch = thread.arch
         arch.pc = next_pc
         effect(arch.gprs)
-        return 1
-    run.latency = 1
+        return latency
+    run.latency = latency
     return run
 
 
-#: single-cycle ALU ops eligible for fast handlers and fusion
+#: ALU ops whose whole behavior is a pure function of the GPR file:
+#: they cannot fault and have no work/monitor/vector side effects
 FUSABLE_OPS = frozenset(
     ["nop", "movi", "mov", "add", "addi", "sub",
      "and_", "or_", "xor", "shl", "shr"])
 
 
 def _alu_effect(instruction: Instruction):
-    """Compile a fusable ALU op to ``effect(gprs)``; None if ineligible.
-
-    Eligible ops are single-cycle, cannot fault, touch only plain GPR
-    slots (no pc/flags/control/vector operands, which need
-    ``ArchState.write`` side effects), and have no work/monitor
-    semantics -- exactly the ops whose whole behavior is a pure
-    function of the GPR file.
-    """
+    """Compile a :data:`FUSABLE_OPS` instruction to ``effect(gprs)``."""
     op = instruction.op
-    if op not in FUSABLE_OPS:
-        return None
     ops = instruction.operands
     if op == "nop":
         def effect(gprs):
@@ -165,8 +150,6 @@ def _alu_effect(instruction: Instruction):
         effect.dest = None
         return effect
     rd = _gpr(ops[0])
-    if rd is None:
-        return None
     if op == "movi":
         imm = ops[1].value
 
@@ -174,15 +157,11 @@ def _alu_effect(instruction: Instruction):
             gprs[rd] = imm
     elif op == "mov":
         rs = _gpr(ops[1])
-        if rs is None:
-            return None
 
         def effect(gprs):
             gprs[rd] = gprs[rs]
     elif op in ("addi", "shl", "shr"):
         rs = _gpr(ops[1])
-        if rs is None:
-            return None
         imm = ops[2].value
         if op == "addi":
             def effect(gprs):
@@ -196,8 +175,6 @@ def _alu_effect(instruction: Instruction):
     else:  # add, sub, and_, or_, xor
         rs = _gpr(ops[1])
         rt = _gpr(ops[2])
-        if rs is None or rt is None:
-            return None
         if op == "add":
             def effect(gprs):
                 gprs[rd] = gprs[rs] + gprs[rt]
@@ -217,6 +194,16 @@ def _alu_effect(instruction: Instruction):
     return effect
 
 
+def _fusable(instruction: Instruction):
+    """The effect fusion may absorb, or None: a fusable ALU op whose
+    table latency is one cycle (a fused run burns one issue cycle per
+    instruction)."""
+    op = instruction.op
+    if op in FUSABLE_OPS and OPS[op].latency == 1:
+        return _alu_effect(instruction)
+    return None
+
+
 def _make_fused(effects, start_pc: int, length: int) -> Handler:
     """Superinstruction: run ``length`` fused ALU ops in one pick.
 
@@ -225,9 +212,9 @@ def _make_fused(effects, start_pc: int, length: int) -> Handler:
     instructions become burn cycles through the existing
     ``work_remaining`` machinery, so the thread occupies its issue slot
     for exactly one cycle per fused instruction and the pick stream
-    other threads see is cycle-identical to naive stepping. Retirement
-    counters are credited up front and rolled back by
-    ``_materialize_fused`` if the run is interrupted.
+    other threads see is cycle-identical to instruction-at-a-time
+    execution. Retirement counters are credited up front and rolled
+    back by ``_materialize_fused`` if the run is interrupted.
     """
     end_pc = start_pc + length
     dests = tuple(sorted({e.dest for e in effects if e.dest is not None}))
@@ -249,12 +236,9 @@ def _make_fused(effects, start_pc: int, length: int) -> Handler:
     return run
 
 
-def _make_div(instruction: Instruction, next_pc: int) -> Optional[Handler]:
-    rd = _gpr(instruction.operands[0])
-    rs = _gpr(instruction.operands[1])
-    rt = _gpr(instruction.operands[2])
-    if rd is None or rs is None or rt is None:
-        return None
+def _make_div(instruction: Instruction, next_pc: int, latency: int,
+              program) -> Handler:
+    rd, rs, rt = (_gpr(operand) for operand in instruction.operands)
     from repro.hw.exceptions import ExceptionKind
 
     def run(core, thread):
@@ -263,35 +247,31 @@ def _make_div(instruction: Instruction, next_pc: int) -> Optional[Handler]:
         gprs = arch.gprs
         if gprs[rt] == 0:
             core._raise_exception(thread, ExceptionKind.DIV_ZERO)
-            return 12
+            return latency
         gprs[rd] = gprs[rs] // gprs[rt]
-        return 12
-    run.latency = 12
+        return latency
+    run.latency = latency
     return run
 
 
-def _make_mul(instruction: Instruction, next_pc: int) -> Optional[Handler]:
-    rd = _gpr(instruction.operands[0])
-    rs = _gpr(instruction.operands[1])
-    rt = _gpr(instruction.operands[2])
-    if rd is None or rs is None or rt is None:
-        return None
+def _make_mul(instruction: Instruction, next_pc: int, latency: int,
+              program) -> Handler:
+    rd, rs, rt = (_gpr(operand) for operand in instruction.operands)
 
     def run(core, thread):
         arch = thread.arch
         arch.pc = next_pc
         gprs = arch.gprs
         gprs[rd] = gprs[rs] * gprs[rt]
-        return 3
-    run.latency = 3
+        return latency
+    run.latency = latency
     return run
 
 
-def _make_ld(instruction: Instruction, next_pc: int) -> Optional[Handler]:
+def _make_ld(instruction: Instruction, next_pc: int, latency: int,
+             program) -> Handler:
     rd = _gpr(instruction.operands[0])
     rs = _gpr(instruction.operands[1])
-    if rd is None or rs is None:
-        return None
     offset = instruction.operands[2].value
 
     def run(core, thread):
@@ -299,16 +279,15 @@ def _make_ld(instruction: Instruction, next_pc: int) -> Optional[Handler]:
         arch.pc = next_pc
         gprs = arch.gprs
         gprs[rd] = core.memory.load(gprs[rs] + offset)
-        return 2 + core.costs.l1_hit_cycles
-    run.latency = 2
+        return latency + core.costs.l1_hit_cycles
+    run.latency = latency
     return run
 
 
-def _make_st(instruction: Instruction, next_pc: int) -> Optional[Handler]:
+def _make_st(instruction: Instruction, next_pc: int, latency: int,
+             program) -> Handler:
     rs = _gpr(instruction.operands[0])
     rt = _gpr(instruction.operands[2])
-    if rs is None or rt is None:
-        return None
     offset = instruction.operands[1].value
 
     def run(core, thread):
@@ -319,17 +298,19 @@ def _make_st(instruction: Instruction, next_pc: int) -> Optional[Handler]:
         memory.store(gprs[rs] + offset, gprs[rt], source=thread.mem_source)
         coherence = memory.watch_bus.coherence
         if coherence is not None:
-            return 2 + core.costs.l1_hit_cycles + coherence.last_write_cycles
-        return 2 + core.costs.l1_hit_cycles
-    run.latency = 2
+            # writer-side directory charge: invalidating the sharers of
+            # a watched line is not free (0 for untracked lines)
+            return (latency + core.costs.l1_hit_cycles
+                    + coherence.last_write_cycles)
+        return latency + core.costs.l1_hit_cycles
+    run.latency = latency
     return run
 
 
-def _make_faa(instruction: Instruction, next_pc: int) -> Optional[Handler]:
+def _make_faa(instruction: Instruction, next_pc: int, latency: int,
+              program) -> Handler:
     rd = _gpr(instruction.operands[0])
     rs = _gpr(instruction.operands[1])
-    if rd is None or rs is None:
-        return None
     delta = instruction.operands[2].value
 
     def run(core, thread):
@@ -340,44 +321,45 @@ def _make_faa(instruction: Instruction, next_pc: int) -> Optional[Handler]:
         gprs[rd] = memory.fetch_add(gprs[rs], delta, source=thread.mem_source)
         coherence = memory.watch_bus.coherence
         if coherence is not None:
-            return 4 + core.costs.l1_hit_cycles + coherence.last_write_cycles
-        return 4 + core.costs.l1_hit_cycles
-    run.latency = 4
+            return (latency + core.costs.l1_hit_cycles
+                    + coherence.last_write_cycles)
+        return latency + core.costs.l1_hit_cycles
+    run.latency = latency
     return run
 
 
-def _undefined_label(name: str, program_name: str, next_pc: int) -> Handler:
-    """Match the naive runtime error for a dangling label."""
+def _undefined_label(name: str, program_name: str, next_pc: int,
+                     latency: int) -> Handler:
+    """A branch to a label the program does not define."""
     def run(core, thread):
         thread.arch.pc = next_pc
         raise IsaError(f"undefined label {name!r} in {program_name!r}")
-    run.latency = 1
+    run.latency = latency
     return run
 
 
-def _make_jmp(instruction: Instruction, next_pc: int, program) -> Handler:
+def _make_jmp(instruction: Instruction, next_pc: int, latency: int,
+              program) -> Handler:
     target = _resolve_target(instruction.operands[0], program)
     if target is None:
         return _undefined_label(instruction.operands[0].name,
-                                program.name, next_pc)
+                                program.name, next_pc, latency)
 
     def run(core, thread):
         thread.arch.pc = target
-        return 1
-    run.latency = 1
+        return latency
+    run.latency = latency
     return run
 
 
-def _make_branch(instruction: Instruction, next_pc: int,
-                 program) -> Optional[Handler]:
+def _make_branch(instruction: Instruction, next_pc: int, latency: int,
+                 program) -> Handler:
     rs = _gpr(instruction.operands[0])
     rt = _gpr(instruction.operands[1])
-    if rs is None or rt is None:
-        return None
     target = _resolve_target(instruction.operands[2], program)
     if target is None:
         return _undefined_label(instruction.operands[2].name,
-                                program.name, next_pc)
+                                program.name, next_pc, latency)
     op = instruction.op
 
     if op == "beq":
@@ -385,104 +367,131 @@ def _make_branch(instruction: Instruction, next_pc: int,
             arch = thread.arch
             gprs = arch.gprs
             arch.pc = target if gprs[rs] == gprs[rt] else next_pc
-            return 1
+            return latency
     elif op == "bne":
         def run(core, thread):
             arch = thread.arch
             gprs = arch.gprs
             arch.pc = target if gprs[rs] != gprs[rt] else next_pc
-            return 1
+            return latency
     elif op == "blt":
         def run(core, thread):
             arch = thread.arch
             gprs = arch.gprs
             arch.pc = target if gprs[rs] < gprs[rt] else next_pc
-            return 1
+            return latency
     else:  # bge
         def run(core, thread):
             arch = thread.arch
             gprs = arch.gprs
             arch.pc = target if gprs[rs] >= gprs[rt] else next_pc
-            return 1
-    run.latency = 1
+            return latency
+    run.latency = latency
     return run
 
 
-def _make_jal(instruction: Instruction, next_pc: int,
-              program) -> Optional[Handler]:
+def _make_jal(instruction: Instruction, next_pc: int, latency: int,
+              program) -> Handler:
     rd = _gpr(instruction.operands[0])
-    if rd is None:
-        return None
     target = _resolve_target(instruction.operands[1], program)
     if target is None:
         return _undefined_label(instruction.operands[1].name,
-                                program.name, next_pc)
+                                program.name, next_pc, latency)
 
     def run(core, thread):
         arch = thread.arch
-        arch.gprs[rd] = next_pc   # the naive path links the advanced pc
+        arch.gprs[rd] = next_pc   # link: the index after the jal
         arch.pc = target
-        return 1
-    run.latency = 1
+        return latency
+    run.latency = latency
     return run
 
 
-def _make_jr(instruction: Instruction, next_pc: int) -> Optional[Handler]:
+def _make_jr(instruction: Instruction, next_pc: int, latency: int,
+             program) -> Handler:
     rs = _gpr(instruction.operands[0])
-    if rs is None:
-        return None
 
     def run(core, thread):
         arch = thread.arch
         arch.pc = arch.gprs[rs]
-        return 1
-    run.latency = 1
+        return latency
+    run.latency = latency
     return run
 
 
-def _make_halt(next_pc: int) -> Handler:
+def _make_halt(instruction: Instruction, next_pc: int, latency: int,
+               program) -> Handler:
     def run(core, thread):
         thread.arch.pc = next_pc
         core._halt_thread(thread)
-        return 1
-    run.latency = 1
+        return latency
+    run.latency = latency
     return run
 
 
-def _make_work(instruction: Instruction, next_pc: int) -> Handler:
+def _make_work(instruction: Instruction, next_pc: int, latency: int,
+               program) -> Handler:
     remaining = max(instruction.operands[0].value - 1, 0)
 
     def run(core, thread):
+        # the first cycle issues now; the remainder occupy the thread's
+        # issue slot on subsequent rounds (see HWCore._issue_one).
+        # Re-arming work_remaining retires any stale fused-run undo
+        # record: from here on a positive count means `work`.
         thread.arch.pc = next_pc
         thread.work_remaining = remaining
         thread._fused = None
-        return 1
-    run.latency = 1
+        return latency
+    run.latency = latency
     return run
 
 
-def _make_monitor(instruction: Instruction,
-                  next_pc: int) -> Optional[Handler]:
+def _make_monitor(instruction: Instruction, next_pc: int, latency: int,
+                  program) -> Handler:
     rs = _gpr(instruction.operands[0])
-    if rs is None:
-        return None
 
     def run(core, thread):
         arch = thread.arch
         arch.pc = next_pc
-        return 2 + thread.monitor.arm(arch.gprs[rs])
-    run.latency = 2
+        # plus the directory arm cost: joining the line's sharer set
+        # (0 on the flat bus, the default)
+        return latency + thread.monitor.arm(arch.gprs[rs])
+    run.latency = latency
     return run
 
 
-def _make_mwait(next_pc: int) -> Handler:
+def _make_mwait(instruction: Instruction, next_pc: int, latency: int,
+                program) -> Handler:
     def run(core, thread):
         thread.arch.pc = next_pc
         if thread.monitor.wait():
             thread.make_waiting()
-        return 1
-    run.latency = 1
+        return latency
+    run.latency = latency
     return run
+
+
+#: the hot opcodes, each defined here and nowhere else; every other
+#: opcode in OPS is an ``HWCore._op_*`` method reached via _generic
+MAKERS: Dict[str, Callable[..., Handler]] = {
+    **{op: _make_alu for op in FUSABLE_OPS},
+    "mul": _make_mul,
+    "div": _make_div,
+    "ld": _make_ld,
+    "st": _make_st,
+    "faa": _make_faa,
+    "jmp": _make_jmp,
+    "beq": _make_branch,
+    "bne": _make_branch,
+    "blt": _make_branch,
+    "bge": _make_branch,
+    "jal": _make_jal,
+    "jr": _make_jr,
+    "halt": _make_halt,
+    "work": _make_work,
+    "monitor": _make_monitor,
+    "mwait": _make_mwait,
+}
 
 
 # ----------------------------------------------------------------------
@@ -492,50 +501,24 @@ def build_handler(instruction: Instruction, next_pc: int, program,
                   dispatch: Dict[str, Callable]) -> Handler:
     """Compile one instruction at index ``next_pc - 1``."""
     op = instruction.op
-    handler: Optional[Handler] = None
-    if op in FUSABLE_OPS:
-        handler = _make_alu(instruction, next_pc)
-    elif op == "mul":
-        handler = _make_mul(instruction, next_pc)
-    elif op == "div":
-        handler = _make_div(instruction, next_pc)
-    elif op == "ld":
-        handler = _make_ld(instruction, next_pc)
-    elif op == "st":
-        handler = _make_st(instruction, next_pc)
-    elif op == "faa":
-        handler = _make_faa(instruction, next_pc)
-    elif op == "jmp":
-        handler = _make_jmp(instruction, next_pc, program)
-    elif op in ("beq", "bne", "blt", "bge"):
-        handler = _make_branch(instruction, next_pc, program)
-    elif op == "jal":
-        handler = _make_jal(instruction, next_pc, program)
-    elif op == "jr":
-        handler = _make_jr(instruction, next_pc)
-    elif op == "halt":
-        handler = _make_halt(next_pc)
-    elif op == "work":
-        handler = _make_work(instruction, next_pc)
-    elif op == "monitor":
-        handler = _make_monitor(instruction, next_pc)
-    elif op == "mwait":
-        handler = _make_mwait(next_pc)
-    if handler is None:
-        spec = OPS[op]
-        handler = _generic(op, instruction.operands, next_pc,
-                           spec.latency, dispatch[op])
-    return handler
+    latency = OPS[op].latency
+    maker = MAKERS.get(op)
+    if maker is None:
+        return _generic(instruction.operands, next_pc, latency,
+                        dispatch[op])
+    return maker(instruction, next_pc, latency, program)
 
 
 def decode_program(program, dispatch: Dict[str, Callable],
-                   no_fuse: Optional[Set[int]] = None) -> DecodedProgram:
+                   no_fuse: Optional[Container[int]] = None
+                   ) -> DecodedProgram:
     """Compile ``program`` into a :class:`DecodedProgram`.
 
-    ``dispatch`` is the naive ``_op_*`` table (passed in by the core to
-    avoid an isa -> hw import cycle) backing the generic fallbacks.
-    ``no_fuse`` marks indices excluded from superinstruction fusion
-    (template holes whose handler is rebuilt per instantiation).
+    ``dispatch`` is the core's cold-op table (``HWCore._DISPATCH``,
+    passed in to avoid an isa -> hw import cycle) backing the generic
+    handlers. ``no_fuse`` marks indices excluded from superinstruction
+    fusion: template holes whose handler is rebuilt per instantiation,
+    or every index for a traced core.
     """
     instructions = program.instructions
     count = len(instructions)
@@ -553,14 +536,14 @@ def decode_program(program, dispatch: Dict[str, Callable],
     index = 0
     while index < count:
         effect = None if index in blocked \
-            else _alu_effect(instructions[index])
+            else _fusable(instructions[index])
         if effect is None:
             index += 1
             continue
         effects = [effect]
         scan = index + 1
         while scan < count and scan not in blocked:
-            nxt = _alu_effect(instructions[scan])
+            nxt = _fusable(instructions[scan])
             if nxt is None:
                 break
             effects.append(nxt)

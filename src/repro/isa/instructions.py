@@ -3,12 +3,21 @@
 Operands are typed wrappers so the interpreter can dispatch without
 string-sniffing:
 
-- :class:`Reg` -- a general/vector register read through the local state
+- :class:`Reg` -- a general-purpose or vector register of the executing
+  thread
 - :class:`RegName` -- a register *name* operand (for rpull/rpush/csr,
   which address registers symbolically, including ``pc`` and ``edp``)
 - :class:`Imm` -- immediate integer
 - :class:`Label` -- branch target, resolved to an instruction index by
   the assembler
+
+Every operand is checked against its opcode's operand kind once, when
+the :class:`Instruction` is built. A ``Reg`` in an ``R`` or ``RI`` slot
+names a GPR (``r0``-``r15``) and one in a ``V`` slot a vector register,
+so control registers (``pc``, ``flags``, ``edp``, and the
+supervisor-only ``tdtr`` and ``priv``) are reachable only through the
+privilege-checked ``N`` operands of ``csrr``/``csrw``/``rpull``/
+``rpush``.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple, Union
 
+from repro.arch.registers import RegisterClass, register_specs
 from repro.errors import IsaError
 
 
@@ -61,13 +71,22 @@ class Label:
 
 Operand = Union[Reg, RegName, Imm, Label]
 
-# operand-kind codes used in OP specs:
-#   R  = register            (Reg)
-#   RI = register or imm     (Reg | Imm)   -- e.g. vtid operands
-#   I  = immediate           (Imm)
-#   N  = register name       (RegName)
-#   L  = label               (Label | Imm) -- branch target
-OPERAND_KINDS = {"R", "RI", "I", "N", "L"}
+#: operand-kind codes used in OP specs, and what each accepts
+OPERAND_KINDS = {
+    "R": "a general register r0-r15",
+    "V": "a vector register v0-v15",
+    "RI": "a general register or an immediate",
+    "I": "an immediate",
+    "N": "the name of an architectural register",
+    "L": "a label or an instruction index",
+}
+
+_SPECS = register_specs()
+GPR_NAMES = frozenset(name for name, spec in _SPECS.items()
+                      if spec.reg_class is RegisterClass.GENERAL)
+VECTOR_NAMES = frozenset(name for name, spec in _SPECS.items()
+                         if spec.reg_class is RegisterClass.VECTOR)
+REGISTER_NAMES = frozenset(_SPECS)
 
 
 @dataclass(frozen=True)
@@ -87,6 +106,8 @@ def _spec(name: str, operands: str, latency: int = 1, privileged: bool = False,
     for kind in kinds:
         if kind not in OPERAND_KINDS:
             raise IsaError(f"bad operand kind {kind!r} in spec for {name}")
+    if latency < 1:
+        raise IsaError(f"{name}: latency must be >= 1, got {latency}")
     return OpSpec(name, kinds, latency, privileged, description)
 
 
@@ -126,8 +147,8 @@ OPS: Dict[str, OpSpec] = {spec.name: spec for spec in [
     _spec("fwork", "I",
           description="consume imm cycles using FP/vector units "
                       "(dirties vector state: 272B -> 784B footprint)"),
-    _spec("vmovi", "R I", description="vector reg <- imm (dirties FP state)"),
-    _spec("vadd", "R R R", description="vector add (dirties FP state)"),
+    _spec("vmovi", "V I", description="vector reg <- imm (dirties FP state)"),
+    _spec("vadd", "V V V", description="vector add (dirties FP state)"),
     # --- proposed extensions (Section 3.1) -----------------------------
     _spec("monitor", "R", latency=2,
           description="arm a watch on the line holding the address in rs"),
@@ -178,7 +199,8 @@ class Instruction:
         for operand, kind in zip(self.operands, spec.operands):
             if not _operand_matches(operand, kind):
                 raise IsaError(
-                    f"{self.op}: operand {operand!r} does not match kind {kind}")
+                    f"{self.op}: operand {operand} is not "
+                    f"{OPERAND_KINDS[kind]}")
 
     @property
     def spec(self) -> OpSpec:
@@ -192,13 +214,16 @@ class Instruction:
 
 def _operand_matches(operand: Operand, kind: str) -> bool:
     if kind == "R":
-        return isinstance(operand, Reg)
+        return isinstance(operand, Reg) and operand.name in GPR_NAMES
+    if kind == "V":
+        return isinstance(operand, Reg) and operand.name in VECTOR_NAMES
     if kind == "I":
         return isinstance(operand, Imm)
     if kind == "RI":
-        return isinstance(operand, (Reg, Imm))
+        return isinstance(operand, Imm) or (
+            isinstance(operand, Reg) and operand.name in GPR_NAMES)
     if kind == "N":
-        return isinstance(operand, RegName)
+        return isinstance(operand, RegName) and operand.name in REGISTER_NAMES
     if kind == "L":
         return isinstance(operand, (Label, Imm))
     return False

@@ -46,9 +46,8 @@ class Program:
     def decoded(self, dispatch):
         """The pre-decoded handler chain (built once, then cached).
 
-        ``dispatch`` is the naive interpreter's op table (the core
-        passes ``HWCore._DISPATCH``), backing the generic fallback
-        handlers without an isa -> hw import cycle.
+        ``dispatch`` is the core's cold-op table (``HWCore._DISPATCH``),
+        backing the generic handlers without an isa -> hw import cycle.
         """
         cache = self._decoded_cache
         if cache is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional
+from typing import ClassVar, Dict, Optional
 
 from repro.arch.costs import CostModel
 from repro.errors import ConfigError
@@ -59,12 +59,10 @@ class MachineConfig:
     #: identical either way, only wall-clock differs. The
     #: REPRO_NO_FASTFORWARD env var overrides this to False.
     fast_forward: bool = True
-    #: pre-decoded handler-chain execution (repro.isa.decode); results
-    #: are identical either way, only wall-clock differs. The
-    #: REPRO_NO_PREDECODE env var overrides this to False; an enabled
-    #: tracer also falls back to the naive interpreter (the decoded
-    #: path skips per-instruction trace emits).
-    predecode: bool = True
+    #: not a field, and not settable: every core runs pre-decoded
+    #: handler chains (repro.isa.decode). Kept readable, always True,
+    #: for run manifests that still record it.
+    predecode: ClassVar[bool] = True
     #: watch-bus coherence model: None (flat free bus, the seed
     #: behavior), "directory" (MSI directory priced by the CostModel's
     #: dir_* fields), or "null" (directory protocol at zero cost, for
@@ -112,8 +110,7 @@ class Machine:
                          security_model=config.security_model,
                          rf_bytes=config.rf_bytes,
                          tracer=self.tracer,
-                         fast_forward=config.fast_forward,
-                         predecode=config.predecode)
+                         fast_forward=config.fast_forward)
         self.dma = DmaEngine(self.engine, self.memory)
         # observability: instrument when asked to, or when built inside
         # an active obs session (how the CLI instruments experiments).

@@ -5,7 +5,8 @@ Two randomized equivalences back the E18 claims:
 - *decode transparency*: for random programs over the ALU / memory /
   branch / work subset, a machine running the pre-decoded handler
   chains finishes with exactly the architectural state, retirement
-  counts, busy-cycle totals, and final clock of the naive interpreter;
+  counts, busy-cycle totals, and final clock of the naive interpreter
+  oracle in ``tests/naive_reference.py``;
 - *WRR degenerates to RR*: at uniform weights
   :class:`~repro.hw.issue.WeightedRoundRobinIssue` must reproduce the
   pick stream of the plain round-robin reference in
@@ -13,11 +14,14 @@ Two randomized equivalences back the E18 claims:
   over arbitrary issueable subsets and widths.
 """
 
+from contextlib import nullcontext
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import build_machine
 from repro.hw.issue import WeightedRoundRobinIssue
+from tests.naive_reference import naive_interpreter
 from tests.rr_reference import RoundRobinIssue
 
 # ----------------------------------------------------------------------
@@ -65,15 +69,16 @@ def _programs(draw):
        smt_width=st.integers(min_value=1, max_value=2))
 @settings(max_examples=40, deadline=None)
 def test_predecoded_runs_match_naive(sources, smt_width):
-    def run(predecode):
+    def run(naive):
         machine = build_machine(cores=1, hw_threads_per_core=4,
-                                smt_width=smt_width, predecode=predecode)
+                                smt_width=smt_width)
         buf = machine.alloc("buf", 64)
         for ptid, source in enumerate(sources):
             machine.load_asm(ptid, source, supervisor=True,
                              symbols={"BUF": buf.base})
             machine.boot(ptid)
-        machine.run()
+        with naive_interpreter() if naive else nullcontext():
+            machine.run()
         threads = [machine.thread(p) for p in range(len(sources))]
         return {
             "now": machine.engine.now,
@@ -83,7 +88,7 @@ def test_predecoded_runs_match_naive(sources, smt_width):
             "finished": [t.finished for t in threads],
         }
 
-    assert run(True) == run(False)
+    assert run(False) == run(True)
 
 
 # ----------------------------------------------------------------------
