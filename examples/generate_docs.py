@@ -479,7 +479,8 @@ def cluster_markdown() -> str:
                      "keeps them in the client's rack",
         "shards": "engine shards: partition the nodes over this many "
                   "worker engines (parallel-in-time PDES; 1 = classic "
-                  "single-engine run)",
+                  "single-engine run; > 1 needs `random` or "
+                  "`round-robin` without hedging)",
         "coherence": "watch-bus coherence on each node's machine: `off` "
                      "(flat free bus), `directory` (priced MSI "
                      "directory), `null` (directory at zero cost); "
@@ -556,13 +557,17 @@ def cluster_markdown() -> str:
         "sent by time `T` can run through `T + lookahead` without risk",
         "-- the paper's own asymmetry (cross-machine communication",
         "costs orders of magnitude more than an intra-machine context",
-        "switch) recast as a synchronization guarantee. State-free",
-        "routing (`random`, `round-robin`, no hedging) upgrades to a",
-        "decoupled pipeline: a generation pass streams the outbound",
-        "request sequence ahead of the workers in adaptive windows,",
-        "and the client replays responses behind them. Load-aware",
-        "routing (`jsq`, `p2c`) and hedging fall back to lockstep",
-        "lookahead windows.",
+        "switch) recast as a synchronization guarantee.",
+        "",
+        "There is one schedule, a pipeline: a generation pass streams",
+        "the outbound request sequence ahead of the workers in",
+        "adaptive windows, and the client replays responses one window",
+        "behind them; between windows both sides block on the pipe.",
+        "That needs state-free routing, so `ClusterConfig` raises a",
+        "`ConfigError` for `shards > 1` unless the policy is `random`",
+        "or `round-robin` and `hedge_after` is None: `jsq`, `p2c` and",
+        "hedging pick the next route from node state one response ago,",
+        "which leaves the shards no lookahead.",
         "",
         "Sharding is *invisible in the results*: every shard replays",
         "exactly the RNG draws its nodes and links would have made on",
@@ -570,10 +575,13 @@ def cluster_markdown() -> str:
         "summary, the latency quantiles, and the obs snapshot are",
         "byte-identical to `shards=1` -- `tests/test_pdes.py` pins",
         "this down, and a mirror cross-check audits every run. Worker",
-        "transports: `process` (real worker processes, the default)",
-        "and `inline` (same-process debug mode). `run_sharded` reports",
-        "the protocol audit in `result.service.pdes` (mode, windows,",
-        "lookahead, minimum observed slack, spin/park counts).",
+        "transports (`run_cluster(transport=...)`): `process` (real",
+        "worker processes, the default) and `inline` (same-process",
+        "debug mode); a worker that dies mid-run raises a",
+        "`SimulationError` naming its shard, pid and exit code.",
+        "`run_sharded` reports the protocol audit in",
+        "`result.service.pdes` (windows, lookahead, minimum observed",
+        "slack, worker events, transport, shards).",
         "",
         "## CLI",
         "",
@@ -582,8 +590,7 @@ def cluster_markdown() -> str:
         "    --policy p2c --load 0.3",
         "python -m repro cluster --nodes 8 --drop-prob 0.01 \\",
         "    --hedge-after 160000 --json",
-        "python -m repro cluster --nodes 32 --shards 4 \\",
-        "    --shard-transport process   # PDES, same bytes out",
+        "python -m repro cluster --nodes 32 --shards 4   # PDES, same bytes",
         "python -m repro run E14 --quick   # the full tail-at-scale story",
         "```",
         "",

@@ -106,11 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="send a hedged shard after this many cycles")
     cluster.add_argument("--shards", type=int, default=1,
                          help="partition the run over N engine shards "
-                              "(conservative PDES; byte-identical output)")
-    cluster.add_argument("--shard-transport", default="process",
-                         choices=("process", "inline"),
-                         help="shard workers as processes (parallel) or "
-                              "inline (debug)")
+                              "(conservative PDES; byte-identical output; "
+                              "random or round-robin, no hedging)")
     cluster.add_argument("--drop-prob", type=float, default=0.0,
                          help="per-message link drop probability")
     cluster.add_argument("--seed", type=lambda v: int(v, 0),
@@ -148,8 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--hedge-after", type=int, default=None,
                        metavar="CYCLES")
     trace.add_argument("--shards", type=int, default=1)
-    trace.add_argument("--shard-transport", default="process",
-                       choices=("process", "inline"))
     trace.add_argument("--seed", type=lambda v: int(v, 0),
                        default=0xC0FFEE)
     trace.add_argument("--json", action="store_true", dest="as_json",
@@ -396,9 +391,7 @@ def _cmd_cluster(args) -> int:
                     import repro.obs as obs
 
                     with obs.session(f"cluster.{name}") as sess:
-                        result = run_cluster(
-                            config, seed=args.seed,
-                            transport=args.shard_transport)
+                        result = run_cluster(config, seed=args.seed)
                     if args.trace_path:
                         from repro.obs.export import write_trace
                         write_trace(args.trace_path, sess.chrome_trace())
@@ -411,8 +404,7 @@ def _cmd_cluster(args) -> int:
                         print(f"metrics snapshot written to "
                               f"{args.metrics_path}", file=sys.stderr)
                 else:
-                    result = run_cluster(config, seed=args.seed,
-                                         transport=args.shard_transport)
+                    result = run_cluster(config, seed=args.seed)
             if store is not None:
                 span_trees.extend((name, tree)
                                   for tree in store.exemplars())
@@ -465,8 +457,7 @@ def _cmd_trace(args) -> int:
             hedge_after=args.hedge_after, backend=args.backend,
             shards=args.shards)
         with spans.tracing(top_k=args.top) as store:
-            run_cluster(config, seed=args.seed,
-                        transport=args.shard_transport)
+            run_cluster(config, seed=args.seed)
     except ReproError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -22,8 +22,9 @@ datacenter on a shared :class:`~repro.sim.engine.Engine`:
   experiment E14;
 - :mod:`repro.cluster.pdes` -- parallel-in-time sharding: one engine
   per node partition, synchronized conservatively on the fabric's
-  guaranteed link latency (``shards=N`` on :class:`ClusterConfig`),
-  byte-identical to the single-engine run. It loads on first use of
+  guaranteed link latency (``shards=N`` on :class:`ClusterConfig`,
+  random or round-robin routing without hedging), byte-identical to
+  the single-engine run. It loads on first use of
   :func:`run_sharded` or :class:`CausalityError` (or ``shards > 1``),
   so a single-engine run never imports it.
 """

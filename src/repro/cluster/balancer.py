@@ -36,8 +36,14 @@ from random import Random
 #: The policy names, in the order tables report them.
 POLICIES = ("random", "round-robin", "jsq", "p2c")
 
-#: jsq's exact load, read with no Python frame per node: ``in_flight()``
-#: of ClusterNode and of the PDES proxy node returns this field
+#: The policies whose picks read no node state: their outbound request
+#: sequence is a pure function of the RNG streams, which is what lets a
+#: sharded run (``shards > 1``, :mod:`repro.cluster.pdes`) generate it
+#: ahead of the shard workers. Sharded runs accept only these.
+STATE_FREE_POLICIES = ("random", "round-robin")
+
+#: jsq's exact load, read with no Python frame per node:
+#: ``ClusterNode.in_flight()`` returns this field
 _IN_FLIGHT = operator.attrgetter("_in_flight")
 
 

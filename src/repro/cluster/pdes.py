@@ -14,35 +14,25 @@ Topology
 The cluster is a star: nodes talk only to the client, never to each
 other. That makes the partition simple -- node ``i`` lives on shard
 ``i % shards``, each shard runs its own :class:`~repro.sim.engine.Engine`,
-and the client side (front-end, balancer, workload, hedge timers,
-latency recorder) runs on the coordinating engine. Cross-shard sends
+and the client side (front-end, balancer, workload, latency
+recorder) runs on the coordinating engine. Cross-shard sends
 become timestamped tuples over pipes, delivered into the destination
 engine at ``send_time + sampled link delay``.
 
-Two synchronization schedules
------------------------------
-*Windowed lockstep* (always correct): the run advances in windows of
-``lookahead`` cycles. Workers simulate ``(T, T+L]`` first -- every
-request that can arrive there was sent at or before ``T`` and is
-already shipped -- then the client replays the same window with the
-workers' rejections/responses injected at their exact timestamps.
-Load-aware policies (jsq, p2c) and hedging need this schedule because
-the client's next routing decision can depend on node state one
-response ago.
-
-*Decoupled pipeline* (the fast path, for outbound-independent
-configurations: ``random`` / ``round-robin`` routing without hedging):
-the client's outbound traffic is a pure function of the named RNG
-streams, so a first engine-less pass replays the draw sequence and
-streams every request to the workers ahead of time. Workers then run
-big adaptive windows while the client replays accounting one window
-behind -- synchronization cost amortizes to nothing and the window
-size self-tunes toward a target event count per batch.
-
-Workers waiting at a window barrier spin before parking (the
-"Switchless Calls Made Configless" idea): the spin budget grows on
-spin-hits and shrinks on parks, so busy pipelines never pay a sleep
-and idle ones never burn a core.
+One synchronization schedule
+----------------------------
+Sharded runs route with a state-free policy (``random`` or
+``round-robin``, no hedging; :class:`~repro.cluster.run.ClusterConfig`
+rejects anything else), so the client's outbound traffic is a pure
+function of the named RNG streams. A first engine-less pass replays
+that draw sequence and streams every request to the workers ahead of
+time. Workers then run big adaptive windows while the client replays
+accounting one window behind -- synchronization cost amortizes to
+nothing and the window size self-tunes toward a target event count per
+batch. Between windows the coordinator and the workers block in
+``conn.recv()``. Load-aware routing (jsq, p2c) and hedging would make
+the next route depend on node state one response ago, which leaves no
+lookahead to run ahead on.
 
 Determinism
 -----------
@@ -63,18 +53,19 @@ from __future__ import annotations
 
 import multiprocessing
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.costs import CostModel
 from repro.cluster.balancer import LoadBalancer
-from repro.cluster.fabric import Fabric
 from repro.cluster.node import ClusterNode
 from repro.cluster.service import CLIENT, ClusterService
 from repro.cluster.run import (
     ClusterConfig,
     ClusterRunResult,
+    build_front_end,
     drive_workload,
     node_link_spec,
+    placement_pool,
     request_lookahead,
     summarize_run,
 )
@@ -92,15 +83,10 @@ class CausalityError(SimulationError):
     would have to be delivered in a shard's already-committed past."""
 
 
-#: Policies whose routing decisions read no node state: the outbound
-#: request sequence is a pure function of the RNG streams, which
-#: enables the decoupled pipeline schedule.
-OUTBOUND_INDEPENDENT = ("random", "round-robin")
-
 #: Transports for the shard workers.
 TRANSPORTS = ("process", "inline")
 
-#: Decoupled-mode tuning: per-shard engine events to aim for in one
+#: Pipeline tuning: per-shard engine events to aim for in one
 #: window (big enough to amortize a pipe round-trip, small enough to
 #: keep batches below pipe-buffer pathologies), and the bounds the
 #: adaptive window may move between.
@@ -123,11 +109,11 @@ def shard_node_ids(nodes: int, shards: int) -> List[List[int]]:
 class _ProxyNode:
     """Client-side stand-in for a remote node.
 
-    Mirrors the counters the front-end, balancer, conservation audit,
-    tracer merge, and obs snapshot read -- updated at the exact
-    timestamps the remote events carry, so ``jsq`` load signals and
-    busy/idle timelines equal the single-engine run. ``busy_cycles``
-    is folded in from the worker's final stats at the end of the run.
+    Mirrors the counters the front-end, conservation audit, tracer
+    merge, and obs snapshot read -- updated at the exact timestamps
+    the remote events carry, so admission counts and busy/idle
+    timelines equal the single-engine run. ``busy_cycles`` is folded
+    in from the worker's final stats at the end of the run.
     """
 
     def __init__(self, engine: Engine, node_id: int, design) -> None:
@@ -210,21 +196,16 @@ class ShardedClusterService(ClusterService):
         self._attempts: Dict[int, Tuple[Any, int, _ProxyNode]] = {}
         #: attempt ids the workers rejected, consulted at delivery time
         self._remote_rejected: set = set()
-        #: (send_ts, deliver_ts, attempt_id, node_id, cycles) to ship
-        self._outbox: List[Tuple[int, int, int, int, float]] = []
-        #: decoupled mode pre-ships requests from the generation pass,
-        #: so the live outbox is disabled there
-        self.collect_outbox = True
-        #: protocol diagnostics (windows, lookahead, slack, waiter
-        #: stats), filled by the coordinator
+        #: protocol diagnostics (windows, lookahead, slack), filled by
+        #: the coordinator
         self.pdes: Dict[str, Any] = {}
 
     # -- outbound: the transport seam -------------------------------
     def _send_request(self, state, shard_index: int, cycles: float,
                       node, attempt_id: int) -> None:
         # same counters and same per-link draw order as Fabric.send,
-        # but delivery is a local accounting event and the request
-        # itself travels to the owning shard as a timestamped tuple
+        # but delivery is a local accounting event: the generation pass
+        # already shipped the request itself to the owning shard
         fabric = self.fabric
         spec = fabric.link_for(CLIENT, node.name)
         rng = fabric.rng_for(CLIENT, node.name)
@@ -241,16 +222,8 @@ class ShardedClusterService(ClusterService):
         fabric.in_flight += 1
         self.requests_on_wire += 1
         self._attempts[attempt_id] = (state, shard_index, node)
-        now = self.engine.now
-        if self.collect_outbox:
-            self._outbox.append((now, now + delay, attempt_id,
-                                 node.node_id, cycles))
         self.engine.after(delay, self._request_delivered, state,
                           shard_index, node, attempt_id)
-
-    def drain_outbox(self) -> List[Tuple[int, int, int, int, float]]:
-        outbox, self._outbox = self._outbox, []
-        return outbox
 
     def _request_delivered(self, state, shard_index: int, node,
                            attempt_id: int) -> None:
@@ -540,36 +513,6 @@ class ShardWorker:
 # ----------------------------------------------------------------------
 # transports
 # ----------------------------------------------------------------------
-class SpinParkWaiter:
-    """Spin-then-park waiting with an online spin budget.
-
-    The self-tuning idea from "SGX Switchless Calls Made Configless":
-    instead of a hand-picked spin count, the budget doubles every time
-    spinning pays off and halves every time the waiter has to park, so
-    a busy pipeline converges to pure spinning and an idle one to
-    immediate parking.
-    """
-
-    def __init__(self, min_spin: int = 16, max_spin: int = 4096) -> None:
-        self.min_spin = min_spin
-        self.max_spin = max_spin
-        self.spin_limit = min_spin
-        self.spin_hits = 0
-        self.parks = 0
-
-    def wait(self, poll: Callable[..., bool]) -> None:
-        """Block until ``poll()`` says data is ready."""
-        for _ in range(self.spin_limit):
-            if poll(0):
-                self.spin_hits += 1
-                self.spin_limit = min(self.max_spin, self.spin_limit * 2)
-                return
-        self.parks += 1
-        self.spin_limit = max(self.min_spin, self.spin_limit // 2)
-        while not poll(0.05):
-            pass
-
-
 class _InlineShard:
     """In-process transport: the worker runs synchronously on the
     coordinator's thread. No parallelism -- this is the debug and
@@ -585,8 +528,6 @@ class _InlineShard:
         self._batch: Optional[Tuple] = None
         self.obs_payload: Optional[Dict[str, Any]] = None
         self.span_payload: Optional[Dict[str, Any]] = None
-        self.spin_hits = 0
-        self.parks = 0
 
     def post_reqs(self, reqs: Sequence) -> None:
         if reqs:
@@ -616,9 +557,7 @@ def _shard_main(conn, config: ClusterConfig, seed: int,
         worker = ShardWorker(config, seed, node_ids,
                              collect_obs=collect_obs,
                              collect_spans=collect_spans)
-        waiter = SpinParkWaiter()
         while True:
-            waiter.wait(conn.poll)
             msg = conn.recv()
             tag = msg[0]
             if tag == "reqs":
@@ -627,7 +566,6 @@ def _shard_main(conn, config: ClusterConfig, seed: int,
                 conn.send(("batch",) + worker.advance(msg[1]))
             elif tag == "finish":
                 conn.send(("stats", worker.final_stats(),
-                           waiter.spin_hits, waiter.parks,
                            worker.export_obs(), worker.export_spans()))
             elif tag == "stop":
                 return
@@ -654,12 +592,15 @@ class _ProcessShard:
     The protocol is strict request-reply per window (requests and the
     advance command flow only while the worker is idle at the barrier,
     and exactly one batch reply is collected per advance), which makes
-    pipe-buffer deadlock impossible by construction.
+    pipe-buffer deadlock impossible by construction. A worker that
+    exits mid-run breaks the pipe; that surfaces as a
+    :class:`SimulationError` naming the shard, its pid and exit code.
     """
 
-    def __init__(self, config: ClusterConfig, seed: int,
+    def __init__(self, index: int, config: ClusterConfig, seed: int,
                  node_ids: Sequence[int], ctx, collect_obs: bool,
                  collect_spans: bool) -> None:
+        self.index = index
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=_shard_main,
                                 args=(child, config, seed, list(node_ids),
@@ -667,25 +608,40 @@ class _ProcessShard:
                                 daemon=True)
         self.proc.start()
         child.close()
-        self.waiter = SpinParkWaiter()
         self.obs_payload: Optional[Dict[str, Any]] = None
         self.span_payload: Optional[Dict[str, Any]] = None
-        self.spin_hits = 0
-        self.parks = 0
 
     def post_reqs(self, reqs: Sequence) -> None:
         if reqs:
-            self.conn.send(("reqs", reqs))
+            self._send(("reqs", reqs))
 
     def post_advance(self, until: int) -> None:
-        self.conn.send(("advance", until))
+        self._send(("advance", until))
+
+    def _send(self, msg: Tuple) -> None:
+        try:
+            self.conn.send(msg)
+        except OSError as err:
+            # the worker is gone; one that failed left its traceback in
+            # the pipe, which _recv raises
+            self._recv()
+            raise self._lost() from err
 
     def _recv(self) -> Tuple:
-        self.waiter.wait(self.conn.poll)
-        msg = self.conn.recv()
+        try:
+            msg = self.conn.recv()
+        except (EOFError, OSError) as err:
+            raise self._lost() from err
         if msg[0] == "error":
-            raise SimulationError(f"shard worker failed:\n{msg[1]}")
+            raise SimulationError(
+                f"shard {self.index} worker failed:\n{msg[1]}")
         return msg
+
+    def _lost(self) -> SimulationError:
+        self.proc.join(timeout=5)
+        return SimulationError(
+            f"shard {self.index} worker (pid {self.proc.pid}) exited "
+            f"mid-run with exit code {self.proc.exitcode}")
 
     def recv_batch(self) -> Tuple:
         msg = self._recv()
@@ -694,19 +650,17 @@ class _ProcessShard:
         return msg[1:]
 
     def finish(self) -> Dict[int, Tuple]:
-        self.conn.send(("finish",))
+        self._send(("finish",))
         msg = self._recv()
         if msg[0] != "stats":  # pragma: no cover - protocol guard
             raise SimulationError(f"expected stats, got {msg[0]!r}")
-        self.spin_hits, self.parks = msg[2], msg[3]
-        self.obs_payload = msg[4]
-        self.span_payload = msg[5]
-        return msg[1]
+        _tag, stats, self.obs_payload, self.span_payload = msg
+        return stats
 
     def stop(self) -> None:
         try:
             self.conn.send(("stop",))
-        except (OSError, BrokenPipeError):
+        except OSError:
             pass
         try:
             self.conn.close()
@@ -719,7 +673,7 @@ class _ProcessShard:
 
 
 # ----------------------------------------------------------------------
-# the decoupled fast path: engine-less outbound generation
+# the pipeline's engine-less outbound generation
 # ----------------------------------------------------------------------
 class _NodeStub:
     """Identity-only node for the generation pass's balancer."""
@@ -748,11 +702,7 @@ def _outbound_chunks(config: ClusterConfig, seed: int,
     label = config.workload_label()
     streams = RngStreams(seed)
     stubs = [_NodeStub(node_id) for node_id in range(config.nodes)]
-    if config.placement == "same-rack":
-        eligible = [s for s in stubs if s.node_id % config.racks == 0]
-    else:
-        eligible = stubs
-    balancer = LoadBalancer(eligible, config.policy,
+    balancer = LoadBalancer(placement_pool(config, stubs), config.policy,
                             rng=streams.stream(f"{label}.lb"))
     specs = {}
     rngs = {}
@@ -797,7 +747,7 @@ def _outbound_chunks(config: ClusterConfig, seed: int,
 
 
 # ----------------------------------------------------------------------
-# coordinator schedules
+# the coordinator's schedule
 # ----------------------------------------------------------------------
 def _min_slack(per_shard: Sequence[Sequence[Tuple]],
                current: Optional[int]) -> Optional[int]:
@@ -809,55 +759,15 @@ def _min_slack(per_shard: Sequence[Sequence[Tuple]],
     return current
 
 
-def _run_windowed(service: ShardedClusterService, shards: Sequence,
-                  config: ClusterConfig, horizon: int) -> Dict[str, Any]:
-    """Lockstep schedule: workers first, client second, per lookahead
-    window. Correct for every configuration (including load-aware
-    routing and hedging, whose next decision may depend on state one
-    response ago)."""
-    engine = service.engine
-    lookahead = request_lookahead(config)
-    windows = 0
-    min_slack: Optional[int] = None
-    committed = 0
-    last_events = [0] * len(shards)
-    while committed < horizon:
-        target = min(horizon, committed + lookahead)
-        # workers own (committed, target]: every request that can land
-        # there was sent at or before `committed` and already shipped
-        for shard in shards:
-            shard.post_advance(target)
-        batches = [shard.recv_batch() for shard in shards]
-        for index, (rejects, resps, drops, events) in enumerate(batches):
-            service.apply_batch(rejects, resps, drops)
-            last_events[index] = events
-        engine.run(until=target)
-        outbox = service.drain_outbox()
-        if outbox:
-            per_shard: List[List[Tuple]] = [[] for _ in shards]
-            for req in outbox:
-                per_shard[req[3] % len(shards)].append(req)
-            min_slack = _min_slack(per_shard, min_slack)
-            for shard, reqs in zip(shards, per_shard):
-                shard.post_reqs(reqs)
-        committed = target
-        windows += 1
-    return {"mode": "windowed", "lookahead": lookahead,
-            "windows": windows, "min_slack": min_slack,
-            "worker_events": sum(last_events)}
-
-
-def _run_decoupled(service: ShardedClusterService, shards: Sequence,
-                   config: ClusterConfig, seed: int,
-                   distribution: Optional[ServiceDistribution],
-                   horizon: int) -> Dict[str, Any]:
-    """Pipelined schedule for outbound-independent configurations: the
-    generation pass streams requests ahead, workers run adaptive
+def _run_pipeline(service: ShardedClusterService, shards: Sequence,
+                  config: ClusterConfig, seed: int,
+                  distribution: Optional[ServiceDistribution],
+                  horizon: int) -> Dict[str, Any]:
+    """The generation pass streams requests ahead, workers run adaptive
     windows, and the client replays window k while the workers compute
     window k+1."""
     engine = service.engine
     lookahead = request_lookahead(config)
-    service.collect_outbox = False  # the generation pass ships requests
     nshards = len(shards)
     chunks = _outbound_chunks(config, seed, distribution, horizon, nshards)
     frontier = 0
@@ -913,9 +823,8 @@ def _run_decoupled(service: ShardedClusterService, shards: Sequence,
         else:
             engine.run(until=finished)
             break
-    return {"mode": "decoupled", "lookahead": lookahead,
-            "windows": windows, "min_slack": min_slack,
-            "worker_events": sum(last_events)}
+    return {"lookahead": lookahead, "windows": windows,
+            "min_slack": min_slack, "worker_events": sum(last_events)}
 
 
 def _fold_final_stats(service: ShardedClusterService,
@@ -997,7 +906,14 @@ def run_sharded(config: ClusterConfig, seed: int = 0xC0FFEE,
     Byte-identical to :func:`~repro.cluster.run.run_cluster` with
     ``shards=1`` (same streams, same draw order, same summary); the
     mirror cross-check at the end audits the protocol on every run.
+    ``config.shards`` must be at least 2, which
+    :class:`~repro.cluster.run.ClusterConfig` allows for state-free
+    routing only.
     """
+    if config.shards < 2:
+        raise ConfigError(
+            f"run_sharded needs shards >= 2, got {config.shards}; "
+            f"run_cluster runs shards=1 on one engine")
     if transport not in TRANSPORTS:
         raise ConfigError(
             f"unknown shard transport {transport!r}; known: "
@@ -1007,30 +923,10 @@ def run_sharded(config: ClusterConfig, seed: int = 0xC0FFEE,
 
     streams = RngStreams(seed)
     engine = Engine()
-    label = config.workload_label()
     proxies = [_ProxyNode(engine, node_id, config.design)
                for node_id in range(config.nodes)]
-    if config.placement == "same-rack":
-        eligible = [p for p in proxies if p.node_id % config.racks == 0]
-    else:
-        eligible = proxies
-    balancer = LoadBalancer(eligible, config.policy,
-                            rng=streams.stream(f"{label}.lb"),
-                            probe_delay_cycles=config.probe_delay_cycles,
-                            engine=engine)
-    fabric = Fabric(
-        engine,
-        stream_factory=lambda link: streams.stream(f"{label}.net.{link}"),
-        default_link=config.link)
-    for proxy in proxies:
-        spec = node_link_spec(config, proxy.node_id)
-        if spec is not config.link:
-            fabric.set_link(CLIENT, proxy.name, spec)
-            fabric.set_link(proxy.name, CLIENT, spec)
-    service = ShardedClusterService(
-        engine, proxies, balancer, fabric, fanout=config.fanout,
-        segments=config.segments, rtt_cycles=config.rtt_cycles,
-        hedge_after=config.hedge_after)
+    service = build_front_end(config, streams, engine, proxies,
+                              ShardedClusterService)
     drive_workload(service, config, streams, distribution)
 
     import repro.obs as obs
@@ -1052,17 +948,12 @@ def run_sharded(config: ClusterConfig, seed: int = 0xC0FFEE,
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
-        shards = [_ProcessShard(config, seed, ids, ctx, collect_obs,
-                                collect_spans)
-                  for ids in partitions]
+        shards = [_ProcessShard(index, config, seed, ids, ctx,
+                                collect_obs, collect_spans)
+                  for index, ids in enumerate(partitions)]
     try:
-        decoupled = (config.policy in OUTBOUND_INDEPENDENT
-                     and config.hedge_after is None)
-        if decoupled:
-            stats = _run_decoupled(service, shards, config, seed,
-                                   distribution, horizon)
-        else:
-            stats = _run_windowed(service, shards, config, horizon)
+        stats = _run_pipeline(service, shards, config, seed, distribution,
+                              horizon)
         finals = [shard.finish() for shard in shards]
     finally:
         for shard in shards:
@@ -1073,12 +964,7 @@ def run_sharded(config: ClusterConfig, seed: int = 0xC0FFEE,
     if collect_spans:
         for shard in shards:
             span_store.merge_fragments(shard.span_payload)
-    stats.update({
-        "transport": transport,
-        "shards": config.shards,
-        "spin_hits": sum(s.spin_hits for s in shards),
-        "parks": sum(s.parks for s in shards),
-    })
+    stats.update({"transport": transport, "shards": config.shards})
     service.pdes = stats
     return ClusterRunResult(config=config, engine=engine, service=service,
                             summary=summarize_run(service))

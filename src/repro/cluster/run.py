@@ -15,11 +15,15 @@ process -- the property the parallel evaluation runner relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.arch.costs import CostModel
 from repro.backends import backend_names
-from repro.cluster.balancer import LoadBalancer
+from repro.cluster.balancer import (
+    POLICIES,
+    STATE_FREE_POLICIES,
+    LoadBalancer,
+)
 from repro.cluster.fabric import Fabric, LinkSpec
 from repro.cluster.node import ClusterNode
 from repro.cluster.service import CLIENT, ClusterService
@@ -108,10 +112,27 @@ class ClusterConfig:
             raise ConfigError(
                 f"horizon_factor must be positive (the run horizon in "
                 f"mean inter-arrival gaps), got {self.horizon_factor}")
+        for name in ("load", "mean_service_cycles"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, float))
+                    or not value > 0):
+                raise ConfigError(
+                    f"{name} must be a positive number, got {value!r}")
+        for name in ("queue_limit", "hedge_after"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, int)
+                                      or value < 1):
+                raise ConfigError(
+                    f"{name} must be None or an integer >= 1, got "
+                    f"{value!r}")
+        if self.policy not in POLICIES:
+            raise ConfigError(
+                f"unknown policy {self.policy!r}; known: "
+                f"{', '.join(POLICIES)}")
         if self.nodes < 1:
             raise ConfigError(f"need at least one node, got {self.nodes}")
-        if not 0.0 < self.load:
-            raise ConfigError(f"load must be positive, got {self.load}")
         if self.requests < 1:
             raise ConfigError(
                 f"need at least one request, got {self.requests}")
@@ -146,6 +167,15 @@ class ClusterConfig:
             raise ConfigError(
                 f"{self.shards} shards need at least as many nodes, "
                 f"got {self.nodes}")
+        if self.shards > 1 and (self.policy not in STATE_FREE_POLICIES
+                                or self.hedge_after is not None):
+            raise ConfigError(
+                f"shards > 1 needs state-free routing: policy "
+                f"{' or '.join(map(repr, STATE_FREE_POLICIES))} without "
+                f"hedge_after, got policy={self.policy!r}, "
+                f"hedge_after={self.hedge_after!r} (jsq, p2c and hedging "
+                f"pick the next route from node state one response ago, "
+                f"which leaves the shards no lookahead)")
         if self.coherence != "off":
             from repro.coherence.directory import MODEL_NAMES
             if self.coherence not in MODEL_NAMES:
@@ -240,7 +270,6 @@ def build_cluster(config: ClusterConfig, streams: RngStreams,
     """Assemble nodes + balancer + fabric + front-end on one engine."""
     engine = engine or Engine()
     costs = costs or CostModel()
-    label = config.workload_label()
     # fan-in scales with the cluster: every peer keeps
     # threads_per_peer worker connections resident on each node
     resident = (config.threads_per_peer * config.nodes
@@ -253,13 +282,25 @@ def build_cluster(config: ClusterConfig, streams: RngStreams,
                          backend=config.backend,
                          coherence=coherence)
              for node_id in range(config.nodes)]
-    # "same-rack" placement keeps shards in the client's rack (rack 0,
-    # node_id % racks == 0); "any" spreads over the whole cluster
+    return build_front_end(config, streams, engine, nodes)
+
+
+def placement_pool(config: ClusterConfig, nodes: Sequence) -> Sequence:
+    """The nodes the balancer may route to: "same-rack" placement keeps
+    shards in the client's rack (rack 0, node_id % racks == 0); "any"
+    spreads over the whole cluster."""
     if config.placement == "same-rack":
-        eligible = [n for n in nodes if n.node_id % config.racks == 0]
-    else:
-        eligible = nodes
-    balancer = LoadBalancer(eligible, config.policy,
+        return [n for n in nodes if n.node_id % config.racks == 0]
+    return nodes
+
+
+def build_front_end(config: ClusterConfig, streams: RngStreams,
+                    engine: Engine, nodes: Sequence,
+                    service_class: type = ClusterService) -> ClusterService:
+    """Balancer, fabric and front-end over ``nodes`` (the cluster's own
+    nodes, or the client-side proxies of a sharded run)."""
+    label = config.workload_label()
+    balancer = LoadBalancer(placement_pool(config, nodes), config.policy,
                             rng=streams.stream(f"{label}.lb"),
                             probe_delay_cycles=config.probe_delay_cycles,
                             engine=engine)
@@ -275,10 +316,10 @@ def build_cluster(config: ClusterConfig, streams: RngStreams,
         if spec is not config.link:
             fabric.set_link(CLIENT, node.name, spec)
             fabric.set_link(node.name, CLIENT, spec)
-    return ClusterService(engine, nodes, balancer, fabric,
-                          fanout=config.fanout, segments=config.segments,
-                          rtt_cycles=config.rtt_cycles,
-                          hedge_after=config.hedge_after)
+    return service_class(engine, nodes, balancer, fabric,
+                         fanout=config.fanout, segments=config.segments,
+                         rtt_cycles=config.rtt_cycles,
+                         hedge_after=config.hedge_after)
 
 
 def drive_workload(service: ClusterService, config: ClusterConfig,

@@ -214,8 +214,8 @@ def run(quick: bool = False, seed: int = 0xC0FFEE) -> ExperimentResult:
     shard_nodes = 16 if quick else 256
     shard_fanout = min(MAX_FANOUT, shard_nodes)
     shard_requests = _requests_for(shard_nodes, requests if quick else 300)
-    shard_table = Table(["shards", "mode", "windows", "completed", "p50",
-                         "p99", "identical"],
+    shard_table = Table(["shards", "windows", "completed", "p50", "p99",
+                         "identical"],
                         title=f"Conservative PDES sharding (hw-threads, "
                               f"{POLICY} placement, {shard_nodes} nodes, "
                               f"fanout {shard_fanout}, process workers)")
@@ -235,16 +235,15 @@ def run(quick: bool = False, seed: int = 0xC0FFEE) -> ExperimentResult:
             baseline = fingerprint
         identical = fingerprint == baseline
         shard_series[shards] = {
-            "mode": pdes.get("mode", "single"),
             "windows": pdes.get("windows", 0),
             "completed": summary["completed"],
             "p50": stats.p50,
             "p99": stats.p99,
             "identical": identical,
         }
-        shard_table.add_row(shards, pdes.get("mode", "-"),
-                            pdes.get("windows", 0), summary["completed"],
-                            round(stats.p50), round(stats.p99), identical)
+        shard_table.add_row(shards, pdes.get("windows", 0),
+                            summary["completed"], round(stats.p50),
+                            round(stats.p99), identical)
     result.add_table(shard_table)
 
     result.data["tax"] = tax_series

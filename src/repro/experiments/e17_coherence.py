@@ -125,7 +125,7 @@ def _remote_mode(nodes: int, rounds: int, mode: str, seed: int,
     send_at: List[int] = []
     latencies: List[int] = []
     wires: List[int] = []
-    gap = 50_000  # cycles between rounds: every waiter re-parks first
+    gap = 50_000  # cycles between rounds: every waiter re-arms first
 
     if mode == "rdma":
         remote = RemoteStoreFabric(fabric)

@@ -355,7 +355,7 @@ class HWCore:
         dispatched. Other cores' per-cycle resumes live in the engine's
         step lane and do *not* bound the batch; instead, if any step
         event falls inside the window the batch is *interruptible*
-        (``lazy``): the caller parks on ``AnyOf([cycles, self._wake])``
+        (``lazy``): the caller waits on ``AnyOf([cycles, self._wake])``
         and the accounting is applied at resume time for however many
         rounds actually elapsed. Every path that mutates this core's
         thread pool from outside fires ``self._wake``, so a lazy batch

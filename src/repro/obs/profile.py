@@ -62,7 +62,7 @@ class CoreProfile:
     def pend_split(self, first: str, since: int, rest: str) -> None:
         """Like :meth:`pend`, but only the cycle at ``since`` belongs to
         ``first``; every later one belongs to ``rest``. An issue round
-        that parks straight into a stall is one ``first`` cycle, then
+        that drops straight into a stall is one ``first`` cycle, then
         ``rest`` until the earliest busy thread frees."""
         self._pending = (first, since, rest)
 

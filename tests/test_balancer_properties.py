@@ -5,8 +5,9 @@ node loads changed and simulated time advanced between picks, and
 ``exclude`` empty, partial or covering every node. After every pick
 the balancer must return the reference's node and leave its rng in the
 reference's state -- for every policy, with exact loads and with stale
-probe snapshots. Exact jsq reads each node's count through a field
-rather than ``in_flight()``, so both node classes it routes over are
+probe snapshots. The programs route over PDES proxy nodes, whose load
+is set directly. Exact jsq reads each node's count through a field
+rather than ``in_flight()``, so ``ClusterNode`` and the proxy are both
 checked to expose the same value there.
 """
 

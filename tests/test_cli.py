@@ -65,6 +65,16 @@ class TestCluster:
         assert main(["cluster", "--design", "fibers"]) == 2
         assert "unknown server design" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["cluster", "trace"])
+    @pytest.mark.parametrize("flags", [("--policy", "jsq"),
+                                       ("--policy", "p2c"),
+                                       ("--hedge-after", "1000")])
+    def test_sharded_load_aware_routing_fails(self, capsys, verb, flags):
+        assert main([verb, "--nodes", "4", "--shards", "2", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "shards > 1 needs state-free routing" in err
+        assert "'random' or 'round-robin'" in err
+
     def test_json_output_parseable(self, capsys):
         import json
         assert main(["cluster", "--nodes", "2", "--requests", "20",
@@ -113,8 +123,7 @@ class TestTrace:
                 "--load", "0.3", "--requests", "20"]
         assert main(args) == 0
         single = capsys.readouterr().out
-        assert main([*args, "--shards", "2",
-                     "--shard-transport", "inline"]) == 0
+        assert main([*args, "--shards", "2"]) == 0
         sharded = capsys.readouterr().out
         assert json.loads(single) == json.loads(sharded)
 

@@ -283,25 +283,38 @@ class TestClusterConfig:
         with pytest.raises(ConfigError, match=r"get_design\(\).*sw-threads"):
             ClusterConfig(design="sw-threads")
 
-    @pytest.mark.parametrize("field, value", [
-        ("link", None),
-        ("cross_rack_link", "fast"),
-        ("nodes", 2.0),
-        ("requests", 2.5),
-        ("fanout", "2"),
-        ("segments", 2.0),
-        ("cores_per_node", None),
-        ("threads_per_peer", 4.0),
-        ("racks", True),
-        ("shards", 1.5),
-        ("rtt_cycles", -5),
-        ("horizon_factor", -1),
-        ("horizon_factor", 0),
-    ])
-    def test_bad_input_fails_at_construction(self, field, value):
-        # each of these used to construct, then fail or misbehave mid-run
-        with pytest.raises(ConfigError, match=field):
-            ClusterConfig(**{field: value})
+    @pytest.mark.parametrize("overrides", [
+        dict(link=None),
+        dict(cross_rack_link="fast"),
+        dict(nodes=2.0),
+        dict(requests=2.5),
+        dict(fanout="2"),
+        dict(segments=2.0),
+        dict(cores_per_node=None),
+        dict(threads_per_peer=4.0),
+        dict(racks=True),
+        dict(shards=1.5),
+        dict(rtt_cycles=-5),
+        dict(horizon_factor=-1),
+        dict(horizon_factor=0),
+        dict(policy="fastest"),
+        dict(hedge_after=0),
+        dict(queue_limit=0),
+        dict(mean_service_cycles=0),
+        dict(load="x"),
+        dict(load=True),
+        # a sharded run pipelines a pre-generated request stream, so
+        # routing that reads node state cannot shard
+        dict(policy="jsq", nodes=8, shards=2),
+        dict(policy="p2c", nodes=8, shards=2),
+        dict(hedge_after=160_000, nodes=8, shards=2),
+    ], ids=lambda overrides: "-".join(f"{key}-{value}"
+                                      for key, value in overrides.items()))
+    def test_bad_input_fails_at_construction(self, overrides):
+        # each of these used to construct (most then failed or misbehaved
+        # mid-run); the error names the first field given
+        with pytest.raises(ConfigError, match=next(iter(overrides))):
+            ClusterConfig(**overrides)
 
 
 class TestDeterminism:

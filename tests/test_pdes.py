@@ -10,31 +10,43 @@ committed past; the causality tests pin that guarantee down.
 """
 
 import json
+import os
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cluster.pdes as pdes
 import repro.obs as obs
+import repro.obs.spans as spans
 from repro.cluster import (
     CausalityError,
     ClusterConfig,
     node_link_spec,
     request_lookahead,
     run_cluster,
+    run_sharded,
     scaled,
 )
+from repro.cluster.balancer import STATE_FREE_POLICIES
 from repro.cluster.fabric import LinkSpec
 from repro.cluster.pdes import ShardWorker, shard_node_ids
 from repro.distributed.rpc import SW_THREADS
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
+
+
+def _link(drop_prob: float = 0.0) -> LinkSpec:
+    return LinkSpec(base_cycles=2_000, jitter_mean_cycles=250.0,
+                    drop_prob=drop_prob)
 
 
 def _config(**overrides) -> ClusterConfig:
     """Small but non-trivial: multiple nodes per shard, fanout > 1."""
     defaults = dict(nodes=8, design=SW_THREADS, fanout=4, requests=40,
                     mean_service_cycles=8_000, rtt_cycles=4_000,
-                    link=LinkSpec(base_cycles=2_000, jitter_mean_cycles=250.0))
+                    link=_link())
     defaults.update(overrides)
     return ClusterConfig(**defaults)
 
@@ -85,42 +97,72 @@ class TestLabelsIgnoreShards:
 
 
 # ----------------------------------------------------------------------
+#: Per-case overrides for the identity test: request-wire drops happen
+#: in the generation pass; response-wire drops and admission rejections
+#: are shipped home by the workers.
+_CASES = {
+    None: {},
+    "lossy-0.05": dict(link=_link(drop_prob=0.05)),
+    "lossy-0.2": dict(link=_link(drop_prob=0.2)),
+    "queue-3": dict(queue_limit=3),
+}
+
+
 class TestByteIdentity:
     """The headline acceptance: shards=N reproduces shards=1 exactly."""
 
-    @pytest.mark.parametrize("policy,hedge", [
-        ("round-robin", None),   # decoupled pipeline schedule
-        ("random", None),        # decoupled, stochastic routing
-        ("jsq", None),           # windowed: routing reads node state
-        ("round-robin", 30_000)  # windowed: hedging reads responses
-    ])
-    def test_matches_single_engine(self, policy, hedge):
-        config = _config(policy=policy, hedge_after=hedge)
-        single = run_cluster(config, seed=11)
-        sharded = run_cluster(scaled(config, shards=4), seed=11,
-                              transport="inline")
-        assert _fingerprint(sharded) == _fingerprint(single)
-        assert sharded.service.pdes["shards"] == 4
+    def _observed(self, config, **run_kwargs):
+        """A run's summary fingerprint, obs snapshot and span payload."""
+        with obs.session("pdes") as sess, spans.tracing() as store:
+            result = run_cluster(config, seed=11, **run_kwargs)
+        return result, (_fingerprint(result), sess.snapshot(),
+                        json.dumps(store.payload(), sort_keys=True))
 
-    def test_schedule_selection(self):
-        """State-free routing takes the decoupled pipeline; load-aware
-        routing and hedging fall back to lockstep windows."""
-        dec = run_cluster(_config(policy="round-robin", shards=2), seed=3,
-                          transport="inline")
-        win = run_cluster(_config(policy="jsq", shards=2), seed=3,
-                          transport="inline")
-        assert dec.service.pdes["mode"] == "decoupled"
-        assert win.service.pdes["mode"] == "windowed"
+    @pytest.mark.parametrize("case", list(_CASES))
+    @pytest.mark.parametrize("policy", STATE_FREE_POLICIES)
+    def test_matches_single_engine(self, policy, case):
+        config = _config(policy=policy, **_CASES[case])
+        single, expected = self._observed(config)
+        sharded, observed = self._observed(scaled(config, shards=4),
+                                           transport="inline")
+        assert observed == expected
+        assert sharded.service.pdes["shards"] == 4
+        # the case exercised what it names
+        service = single.service
+        if case and case.startswith("lossy"):
+            assert service.request_wire_drops > 0
+            assert service.response_wire_drops > 0
+        if case == "queue-3":
+            assert service.rejected > 0
+
+    def test_state_aware_routing_rejected(self):
+        """The pipeline generates the request stream ahead of the
+        workers, so only state-free routing shards: jsq, p2c and
+        hedging raise at construction, naming the policies that do."""
+        for overrides in (dict(policy="jsq"), dict(policy="p2c"),
+                          dict(hedge_after=30_000),
+                          dict(policy="random", hedge_after=1)):
+            with pytest.raises(ConfigError,
+                               match="'random' or 'round-robin'"):
+                _config(shards=2, **overrides)
+            _config(**overrides)  # one engine routes on anything
+        with pytest.raises(ConfigError, match="shards >= 2"):
+            run_sharded(_config(policy="jsq"))
+        result = run_cluster(_config(shards=2), seed=3, transport="inline")
+        assert set(result.service.pdes) == {
+            "lookahead", "windows", "min_slack", "worker_events",
+            "transport", "shards"}
 
     def test_partition_count_is_invisible(self):
         """2, 3, and 4 shards cut the node set differently yet report
         the same run: the partition is pure bookkeeping."""
-        config = _config(policy="jsq")
-        prints = {shards: _fingerprint(
-                      run_cluster(scaled(config, shards=shards), seed=5,
-                                  transport="inline"))
-                  for shards in (1, 2, 3, 4)}
-        assert len(set(prints.values())) == 1
+        for policy in STATE_FREE_POLICIES:
+            config = _config(policy=policy)
+            prints = {shards: _fingerprint(
+                          run_cluster(scaled(config, shards=shards), seed=5,
+                                      transport="inline"))
+                      for shards in (1, 2, 3, 4)}
+            assert len(set(prints.values())) == 1
 
     def test_process_transport_matches(self):
         """Real worker processes (the default transport) agree with
@@ -176,7 +218,7 @@ class TestCausality:
            shards=st.integers(min_value=2, max_value=4),
            base=st.integers(min_value=1_000, max_value=20_000),
            seed=st.integers(min_value=0, max_value=2**16),
-           policy=st.sampled_from(["round-robin", "random", "jsq"]))
+           policy=st.sampled_from(STATE_FREE_POLICIES))
     @settings(max_examples=12, deadline=None)
     def test_no_message_beats_the_lookahead(self, nodes, shards, base,
                                             seed, policy):
@@ -206,6 +248,43 @@ class TestCausality:
         assert result.service.pdes["windows"] >= 1
 
 
+class TestWorkerLoss:
+    """A worker process that dies mid-run raises a typed error naming
+    its shard, and the run leaves no worker process behind."""
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"),
+                        reason="needs SIGKILL")
+    def test_killed_worker_raises_simulation_error(self, monkeypatch):
+        started = []
+        real_init = pdes._ProcessShard.__init__
+        real_advance = pdes._ProcessShard.post_advance
+
+        def init(shard, *args, **kwargs):
+            real_init(shard, *args, **kwargs)
+            started.append(shard)
+
+        def post_advance(shard, until):
+            # SIGKILL worker 0 before it is asked to advance at all
+            victim = started[0].proc
+            if victim.is_alive():
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10)
+            real_advance(shard, until)
+
+        monkeypatch.setattr(pdes._ProcessShard, "__init__", init)
+        monkeypatch.setattr(pdes._ProcessShard, "post_advance",
+                            post_advance)
+        begin = time.monotonic()
+        with pytest.raises(SimulationError,
+                           match=r"shard 0 worker \(pid \d+\).*exit code -9"):
+            run_cluster(_config(shards=2), seed=1, transport="process")
+        assert time.monotonic() - begin < 30
+        assert len(started) == 2
+        for shard in started:
+            assert not shard.proc.is_alive()
+            assert shard.proc.exitcode is not None
+
+
 # ----------------------------------------------------------------------
 def _flatten(value, path=""):
     out = {}
@@ -232,10 +311,11 @@ class TestObsMerge:
         return sess.snapshot()
 
     def test_model_snapshot_byte_identical(self):
-        config = _config(policy="jsq", requests=24)
-        single = self._snapshot(config)
-        sharded = self._snapshot(scaled(config, shards=4))
-        assert single == sharded
+        for policy in STATE_FREE_POLICIES:
+            config = _config(policy=policy, requests=24)
+            single = self._snapshot(config)
+            sharded = self._snapshot(scaled(config, shards=4))
+            assert single == sharded
 
     def test_process_transport_snapshot_matches_inline(self):
         config = _config(requests=24, shards=2)
