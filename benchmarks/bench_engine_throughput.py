@@ -8,7 +8,8 @@ trajectory to compare against:
 - ``engine``: raw callback dispatch throughput (a self-rescheduling
   timer chain -- every simulated cycle is one heap pop + one push);
 - ``core``: simulated cycles/sec of an SMT core grinding through
-  ``work`` bursts, with the busy-cycle fast-forward on and off;
+  ``work`` bursts, with the busy-cycle fast-forward as shipped and
+  under the naive-stepping oracle (``tests/naive_reference.py``);
 - ``evaluation``: end-to-end wall-clock of the full and quick E01-E17
   evaluations (serial, in-process);
 - ``watch_cancel``: arm/cancel churn on a dense watch bus (the O(1)
@@ -59,22 +60,32 @@ def bench_engine_dispatch(events: int = 300_000) -> dict:
     }
 
 
-def _work_machine(fast_forward: bool, burst: int, threads: int):
+def _work_machine(burst: int, threads: int, instrument: bool = False):
     from repro.machine import build_machine
 
     machine = build_machine(cores=1, hw_threads_per_core=max(threads, 2),
-                            smt_width=2, fast_forward=fast_forward)
+                            smt_width=2, instrument=instrument)
     for ptid in range(threads):
         machine.load_asm(ptid, f"work {burst}\nhalt", supervisor=True)
         machine.boot(ptid)
     return machine
 
 
+def _stepping(fast_forward: bool):
+    """Busy-cycle batching as shipped, or the naive-stepping oracle."""
+    from contextlib import nullcontext
+
+    from tests.naive_reference import naive_stepping
+
+    return nullcontext() if fast_forward else naive_stepping()
+
+
 def bench_core_cycles(fast_forward: bool, burst: int, threads: int = 4) -> dict:
-    machine = _work_machine(fast_forward, burst, threads)
-    start = time.perf_counter()
-    machine.run()
-    elapsed = time.perf_counter() - start
+    machine = _work_machine(burst, threads)
+    with _stepping(fast_forward):
+        start = time.perf_counter()
+        machine.run()
+        elapsed = time.perf_counter() - start
     cycles = machine.engine.now
     return {
         "fast_forward": fast_forward,
@@ -90,21 +101,16 @@ def bench_instrumentation(trials: int = 5, burst: int = 100_000,
                           threads: int = 4) -> dict:
     """Best-of-N interleaved A/B: reference vs disabled vs enabled.
 
-    Uses the naive (fast_forward=False) per-cycle loop, where the
+    Steps every cycle under the naive-stepping oracle, where the
     profiler calls in the issue loop would hurt most.
     """
-    from repro.machine import build_machine
-
     def once(instrument: bool) -> float:
-        machine = build_machine(cores=1, hw_threads_per_core=max(threads, 2),
-                                smt_width=2, fast_forward=False,
-                                instrument=instrument)
-        for ptid in range(threads):
-            machine.load_asm(ptid, f"work {burst}\nhalt", supervisor=True)
-            machine.boot(ptid)
-        start = time.perf_counter()
-        machine.run()
-        return machine.engine.now / (time.perf_counter() - start)
+        machine = _work_machine(burst, threads, instrument)
+        with _stepping(False):
+            start = time.perf_counter()
+            machine.run()
+            elapsed = time.perf_counter() - start
+        return machine.engine.now / elapsed
 
     best = {"reference": 0.0, "disabled": 0.0, "enabled": 0.0}
     once(False)  # warm caches/allocator before measuring
@@ -272,4 +278,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT))
     main()

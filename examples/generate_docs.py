@@ -232,11 +232,12 @@ def experiments_markdown() -> str:
         "cycles, issue rounds, storage recency order, the arbiter's",
         "ring pointer, trace stream, and the final clock are identical",
         "to naive stepping; only `events_processed` drops (that is the point).",
-        "Set `REPRO_NO_FASTFORWARD=1` (or",
-        "`MachineConfig.fast_forward=False`) to force naive stepping;",
-        "`tests/test_fastforward_equivalence.py` diffs the two modes on",
+        "Fast-forward is always on; naive stepping is a test oracle",
+        "(`naive_stepping()` in `tests/naive_reference.py`), and",
+        "`tests/test_fastforward_equivalence.py` diffs the two on",
         "contended SMT workloads with monitors, DMA wakeups, exceptions,",
-        "and cross-core stores that land mid-batch.",
+        "and cross-core stores that land mid-batch, and on the quick",
+        "JSON of every experiment whose cores consult the planner.",
         "",
     ]
     return "\n".join(lines)
@@ -427,7 +428,7 @@ def cluster_markdown() -> str:
         "`repro.cluster` composes many RPC server nodes -- each running",
         "one of the paper's three server designs -- into a simulated",
         "datacenter on a single discrete-event engine: a network fabric",
-        "with per-link latency and loss, a load balancer, fan-out with",
+        "with link latency and loss, a load balancer, fan-out with",
         "the cluster response taken as the *slowest* shard, and hedged",
         "requests. It is the substrate for experiment E14 (the",
         "transition tax at scale) and the `python -m repro cluster` CLI",
@@ -457,7 +458,6 @@ def cluster_markdown() -> str:
         "segments": "CPU bursts per shard, separated by remote calls",
         "rtt_cycles": "mid-request remote-call round trip, per gap",
         "requests": "open-loop arrivals to issue",
-        "cores_per_node": "CPU capacity of each node",
         "queue_limit": "per-node admission bound (None = unbounded)",
         "hedge_after": "cycles before a backup shard is sent "
                        "(None = no hedging)",
@@ -465,26 +465,19 @@ def cluster_markdown() -> str:
                             "keeps on every node (fan-in pool)",
         "link": "network link spec: base + jitter cycles, drop "
                 "probability",
-        "horizon_factor": "run horizon in mean-arrival-gap multiples",
         "backend": "server backend per node: `model` (behavioral) or "
                    "`isa` (full machine); see docs/backends.md",
         "probe_delay_cycles": "jsq/p2c load-signal staleness: in-flight "
                               "counts come from a snapshot at most this "
                               "old (0 = exact oracle)",
-        "racks": "nodes are striped over racks as `node_id % racks`; "
-                 "the client sits in rack 0",
-        "cross_rack_link": "link spec for client<->other-rack messages "
-                           "(None = same as `link`)",
-        "placement": "`any` spreads shards cluster-wide; `same-rack` "
-                     "keeps them in the client's rack",
         "shards": "engine shards: partition the nodes over this many "
                   "worker engines (parallel-in-time PDES; 1 = classic "
                   "single-engine run; > 1 needs `random` or "
                   "`round-robin` without hedging)",
         "coherence": "watch-bus coherence on each node's machine: `off` "
-                     "(flat free bus), `directory` (priced MSI "
-                     "directory), `null` (directory at zero cost); "
-                     "requires `backend='isa'`; see docs/coherence.md",
+                     "(flat free bus) or `directory` (priced MSI "
+                     "directory); requires `backend='isa'`; see "
+                     "docs/coherence.md",
     }
     for field in dataclasses.fields(config):
         value = getattr(config, field.name)
@@ -544,7 +537,7 @@ def cluster_markdown() -> str:
         "## Parallel-in-time sharding (conservative PDES)",
         "",
         "`shards=N` partitions the nodes over `N` worker engines",
-        "(`node_id % N`, the same striping racks use) and runs them as",
+        "(node `i` on shard `i % N`) and runs them as",
         "a conservative parallel discrete-event simulation",
         "(`repro.cluster.pdes`). The client -- balancer, fabric,",
         "front-end, workload -- stays on the coordinator engine and",
@@ -552,7 +545,7 @@ def cluster_markdown() -> str:
         "timestamped messages over pipes.",
         "",
         "Safety comes from *lookahead*: every client->node message",
-        "pays at least the minimum link base latency on the wire",
+        "pays at least the link's base latency on the wire",
         "(`request_lookahead`), so a worker that has seen all messages",
         "sent by time `T` can run through `T + lookahead` without risk",
         "-- the paper's own asymmetry (cross-machine communication",
@@ -863,11 +856,12 @@ def coherence_markdown() -> str:
         "```",
         "",
         f"Registered models: {', '.join(f'`{n}`' for n in MODEL_NAMES)}.",
-        "`null` runs the directory code path with every latency zero --",
-        "synchronous delivery, so it is byte-identical to `off`; the CI",
-        "identity gate compares exactly that. The `REPRO_COHERENCE` env",
-        "var applies a model to every machine whose config leaves",
-        "`coherence=None`.",
+        "A run's coherence comes from its config alone. The tests keep",
+        "a zero-cost directory (`tests/null_directory.py`: every `dir_*`",
+        "cost 0, so delivery is synchronous) as the oracle the flat bus",
+        "must match byte for byte, on unit workloads and on the quick",
+        "JSON of every experiment that arms a watch on a machine",
+        "without a model of its own.",
         "",
         "## Cost knobs",
         "",

@@ -64,7 +64,7 @@ BackendFactory = Callable[..., ServerBackend]
 
 
 def _build_model(engine: Engine, design: ServerDesign,
-                 costs: Optional[CostModel], cores: int,
+                 costs: Optional[CostModel],
                  resident_threads: Optional[int],
                  coherence: Optional[str]) -> ServerBackend:
     if coherence is not None:
@@ -72,16 +72,16 @@ def _build_model(engine: Engine, design: ServerDesign,
             "the 'model' backend has no machine to attach a coherence "
             "model to; use backend='isa' with coherence, or drop the "
             "coherence knob")
-    return RpcServerModel(engine, design, costs, cores=cores,
+    return RpcServerModel(engine, design, costs,
                           resident_threads=resident_threads)
 
 
 def _build_isa(engine: Engine, design: ServerDesign,
-               costs: Optional[CostModel], cores: int,
+               costs: Optional[CostModel],
                resident_threads: Optional[int],
                coherence: Optional[str]) -> ServerBackend:
     from repro.backends.machine import MachineBackend
-    return MachineBackend(engine, design, costs, cores=cores,
+    return MachineBackend(engine, design, costs,
                           resident_threads=resident_threads,
                           coherence=coherence)
 
@@ -99,7 +99,7 @@ def backend_names() -> Sequence[str]:
 
 
 def create_backend(name: str, engine: Engine, design: ServerDesign, *,
-                   costs: Optional[CostModel] = None, cores: int = 1,
+                   costs: Optional[CostModel] = None,
                    resident_threads: Optional[int] = None,
                    coherence: Optional[str] = None) -> ServerBackend:
     """Build the named backend on ``engine``.
@@ -117,5 +117,4 @@ def create_backend(name: str, engine: Engine, design: ServerDesign, *,
             f"unknown server backend {name!r}; known backends: "
             f"{', '.join(backend_names())} ('model' is the behavioral "
             f"RpcServerModel, 'isa' the full ISA-level machine)")
-    return factory(engine, design, costs, cores, resident_threads,
-                   coherence)
+    return factory(engine, design, costs, resident_threads, coherence)

@@ -146,15 +146,10 @@ class MachineBackend:
     """Serve segmented requests on a full ISA-level machine."""
 
     def __init__(self, engine: Engine, design: ServerDesign,
-                 costs: Optional[CostModel] = None, cores: int = 1,
+                 costs: Optional[CostModel] = None,
                  resident_threads: Optional[int] = None,
                  slots: int = DEFAULT_SLOTS,
                  coherence: Optional[str] = None):
-        if cores != 1:
-            raise ConfigError(
-                f"the 'isa' backend drives a single-core machine, got "
-                f"cores={cores}; use cores_per_node=1 or the 'model' "
-                f"backend for multi-core nodes")
         if slots < 1:
             raise ConfigError(f"need at least one slot, got {slots}")
         if resident_threads is not None and resident_threads < 0:

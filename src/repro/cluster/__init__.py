@@ -8,8 +8,9 @@ is amplified (the tail-at-scale effect). This package composes many
 :class:`~repro.distributed.rpc.RpcServerModel` nodes into one simulated
 datacenter on a shared :class:`~repro.sim.engine.Engine`:
 
-- :mod:`repro.cluster.fabric` -- the network: per-link latency
-  distributions (base + exponential jitter) and drop probability;
+- :mod:`repro.cluster.fabric` -- the network: one link latency
+  distribution (base + exponential jitter) and drop probability, with
+  a random stream per directed link;
 - :mod:`repro.cluster.balancer` -- pluggable load balancing: random,
   round-robin, join-shortest-queue, power-of-two-choices;
 - :mod:`repro.cluster.node` -- one machine: an RPC server plus
@@ -35,13 +36,11 @@ from repro.cluster.fabric import Fabric, LinkSpec
 from repro.cluster.node import ClusterNode
 from repro.cluster.run import (
     DESIGNS,
-    PLACEMENTS,
     ClusterConfig,
     ClusterRunResult,
     build_cluster,
     drive_workload,
     get_design,
-    node_link_spec,
     request_lookahead,
     run_cluster,
     scaled,
@@ -55,7 +54,6 @@ __getattr__ = lazy_exports(globals(),
 __all__ = [
     "POLICIES",
     "DESIGNS",
-    "PLACEMENTS",
     "get_design",
     "LoadBalancer",
     "Fabric",
@@ -66,7 +64,6 @@ __all__ = [
     "ClusterRunResult",
     "build_cluster",
     "drive_workload",
-    "node_link_spec",
     "request_lookahead",
     "run_cluster",
     "run_sharded",

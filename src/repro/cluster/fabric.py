@@ -1,29 +1,24 @@
 """The datacenter network fabric.
 
 A :class:`Fabric` carries messages between named endpoints ("client",
-"node0", ...) on the shared engine. Each directed link has a
+"node0", ...) on the shared engine. Every directed link shares one
 :class:`LinkSpec`: a fixed one-way base latency, an exponential jitter
 component (the switching/queueing wobble every real fabric has), and a
-drop probability. Per-link overrides model heterogeneous topologies
-(same-rack vs cross-rack); everything else uses the default spec.
+drop probability.
 
 The fabric never retries: loss recovery is the caller's problem (the
 cluster front-end hedges, see :mod:`repro.cluster.service`), which is
 how μs-scale RPC stacks actually behave -- a retransmit timeout is
 milliseconds, three orders of magnitude above the service time.
 
-All randomness comes from caller-supplied ``random.Random`` state so a
-cluster run is reproducible under :class:`~repro.sim.rng.RngStreams`.
-Two wiring styles exist:
-
-- one shared ``rng`` for the whole fabric (the legacy mode, still used
-  by direct constructions in tests); or
-- a ``stream_factory`` mapping each *directed link* ``"src->dst"`` to
-  its own named stream. Per-link streams make the draw sequence of a
-  link depend only on the traffic crossing *that* link -- the property
-  the parallel-in-time sharded runtime (:mod:`repro.cluster.pdes`)
-  needs so a worker process can reproduce its links' draws without
-  seeing any other shard's traffic.
+All randomness comes from a caller-supplied ``stream_factory`` mapping
+each *directed link* ``"src->dst"`` to its own ``random.Random``
+stream (named :class:`~repro.sim.rng.RngStreams` streams in a cluster
+run, so the run is reproducible). Per-link streams make the draw
+sequence of a link depend only on the traffic crossing *that* link --
+the property the parallel-in-time sharded runtime
+(:mod:`repro.cluster.pdes`) needs so a worker process can reproduce its
+links' draws without seeing any other shard's traffic.
 """
 
 from __future__ import annotations
@@ -80,20 +75,14 @@ class Fabric:
     when a run stops at a horizon with deliveries still pending.
     """
 
-    def __init__(self, engine: Engine, rng: Optional[Random] = None,
-                 default_link: LinkSpec = LinkSpec(),
-                 stream_factory: Optional[Callable[[str], Random]] = None):
-        if (rng is None) == (stream_factory is None):
-            raise ConfigError(
-                "a fabric needs exactly one randomness source: either a "
-                "shared rng or a per-link stream_factory")
+    def __init__(self, engine: Engine,
+                 stream_factory: Callable[[str], Random],
+                 link: LinkSpec = LinkSpec()):
         self.engine = engine
-        self.rng = rng
         self.stream_factory = stream_factory
-        self.default_link = default_link
-        # (spec, rng) per directed link: created on the link's first use
-        # or override, so a send resolves both with one lookup
-        self._routes: Dict[Tuple[str, str], Tuple[LinkSpec, Random]] = {}
+        self.link = link
+        # per directed link, created on the link's first use
+        self._streams: Dict[Tuple[str, str], Random] = {}
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -109,26 +98,14 @@ class Fabric:
             self._obs_registered = True
 
     # ------------------------------------------------------------------
-    def set_link(self, src: str, dst: str, spec: LinkSpec) -> None:
-        """Override the spec for the directed ``src -> dst`` link."""
-        self._routes[(src, dst)] = (spec, self._route(src, dst)[1])
-
-    def link_for(self, src: str, dst: str) -> LinkSpec:
-        return self._route(src, dst)[0]
-
     def rng_for(self, src: str, dst: str) -> Random:
-        """The stream the ``src -> dst`` link draws from (shared rng in
-        legacy mode, a lazily created per-link stream otherwise)."""
-        return self._route(src, dst)[1]
-
-    def _route(self, src: str, dst: str) -> Tuple[LinkSpec, Random]:
-        route = self._routes.get((src, dst))
-        if route is None:
-            rng = self.rng
-            if self.stream_factory is not None:
-                rng = self.stream_factory(f"{src}->{dst}")
-            route = self._routes[(src, dst)] = (self.default_link, rng)
-        return route
+        """The stream the ``src -> dst`` link draws from (created on
+        first use)."""
+        rng = self._streams.get((src, dst))
+        if rng is None:
+            rng = self._streams[(src, dst)] = \
+                self.stream_factory(f"{src}->{dst}")
+        return rng
 
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str,
@@ -142,7 +119,8 @@ class Fabric:
         (``None`` when dropped) -- the sharded runtime needs the
         timestamp to ship the message cross-process."""
         self.sent += 1
-        spec, rng = self._routes.get((src, dst)) or self._route(src, dst)
+        spec = self.link
+        rng = self._streams.get((src, dst)) or self.rng_for(src, dst)
         if spec.drop_prob > 0.0 and rng.random() < spec.drop_prob:
             self.dropped += 1
             return None

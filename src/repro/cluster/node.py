@@ -14,9 +14,7 @@ adds what the cluster layer needs on top:
   ``admitted == completed + in_flight`` per node, which
   ``tests/test_property_invariants.py`` asserts under random schedules;
 - a per-node metric namespace (``cluster.node{N}.*``) and a busy/idle
-  timeline track when an obs session is active;
-- a per-node :class:`~repro.sim.trace.Tracer` whose counters the
-  cluster service merges across nodes (``Tracer.merge``).
+  timeline track when an obs session is active.
 """
 
 from __future__ import annotations
@@ -29,14 +27,13 @@ from repro.distributed.rpc import ServerDesign
 from repro.errors import ConfigError
 from repro.obs.timeline import ThreadState
 from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
 
 
 class ClusterNode:
     """One server machine: an RPC server plus cluster bookkeeping."""
 
     def __init__(self, engine: Engine, node_id: int, design: ServerDesign,
-                 costs: Optional[CostModel] = None, cores: int = 1,
+                 costs: Optional[CostModel] = None,
                  queue_limit: Optional[int] = None,
                  resident_threads: Optional[int] = None,
                  backend: str = "model", register_obs: bool = True,
@@ -54,9 +51,8 @@ class ClusterNode:
         # a datacenter node keeps a thread-per-connection worker pool
         # resident; the caller sizes it to the node's fan-in
         self.server = create_backend(
-            backend, engine, design, costs=costs, cores=cores,
+            backend, engine, design, costs=costs,
             resident_threads=resident_threads, coherence=coherence)
-        self.tracer = Tracer(engine)
         self.admitted = 0
         self.completed = 0
         self.rejected = 0
@@ -105,13 +101,11 @@ class ClusterNode:
         if self.queue_limit is not None \
                 and self._in_flight >= self.queue_limit:
             self.rejected += 1
-            self.tracer.count("cluster node rejected")
             if self._spans is not None:
                 self._spans.node_reject(request_id, self.engine.now)
             return False
         self.admitted += 1
         self._in_flight += 1
-        self.tracer.count("cluster node admitted")
         if self._spans is not None:
             self._spans.node_admit(request_id, self.engine.now)
         if self._obs_timeline is not None and self._in_flight == 1:
@@ -127,7 +121,6 @@ class ClusterNode:
                   on_done: Optional[Callable[[], None]]) -> None:
         self._in_flight -= 1
         self.completed += 1
-        self.tracer.count("cluster node completed")
         if self._spans is not None:
             self._spans.node_done(request_id, self.engine.now)
         if self._obs_timeline is not None and self._in_flight == 0:

@@ -64,8 +64,6 @@ from repro.cluster.run import (
     ClusterRunResult,
     build_front_end,
     drive_workload,
-    node_link_spec,
-    placement_pool,
     request_lookahead,
     summarize_run,
 )
@@ -73,7 +71,6 @@ from repro.errors import ConfigError, SimulationError
 from repro.obs.timeline import ThreadState
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
 from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.service import Exponential, ServiceDistribution
 
@@ -95,8 +92,7 @@ _MIN_CHUNK_ARRIVALS = 512
 
 
 def shard_node_ids(nodes: int, shards: int) -> List[List[int]]:
-    """Striped partition: node ``i`` lives on shard ``i % shards`` (the
-    same striping racks use, so racks spread evenly over shards)."""
+    """Striped partition: node ``i`` lives on shard ``i % shards``."""
     if not 1 <= shards <= nodes:
         raise ConfigError(
             f"need 1..{nodes} shards for {nodes} nodes, got {shards}")
@@ -109,10 +105,10 @@ def shard_node_ids(nodes: int, shards: int) -> List[List[int]]:
 class _ProxyNode:
     """Client-side stand-in for a remote node.
 
-    Mirrors the counters the front-end, conservation audit, tracer
-    merge, and obs snapshot read -- updated at the exact timestamps
-    the remote events carry, so admission counts and busy/idle
-    timelines equal the single-engine run. ``busy_cycles`` is folded
+    Mirrors the counters the front-end, conservation audit and obs
+    snapshot read -- updated at the exact timestamps the remote events
+    carry, so admission counts and busy/idle timelines equal the
+    single-engine run. ``busy_cycles`` is folded
     in from the worker's final stats at the end of the run.
     """
 
@@ -120,7 +116,6 @@ class _ProxyNode:
         self.engine = engine
         self.node_id = node_id
         self.name = f"node{node_id}"
-        self.tracer = Tracer(engine)
         self.admitted = 0
         self.completed = 0
         self.rejected = 0
@@ -150,7 +145,6 @@ class _ProxyNode:
     def mirror_admit(self) -> None:
         self.admitted += 1
         self._in_flight += 1
-        self.tracer.count("cluster node admitted")
         if self._obs_timeline is not None and self._in_flight == 1:
             self._obs_timeline.transition(self._obs_track, 0,
                                           ThreadState.RUNNING,
@@ -159,7 +153,6 @@ class _ProxyNode:
     def mirror_finish(self) -> None:
         self._in_flight -= 1
         self.completed += 1
-        self.tracer.count("cluster node completed")
         if self._obs_timeline is not None and self._in_flight == 0:
             self._obs_timeline.transition(self._obs_track, 0,
                                           ThreadState.MWAIT,
@@ -167,7 +160,6 @@ class _ProxyNode:
 
     def mirror_reject(self) -> None:
         self.rejected += 1
-        self.tracer.count("cluster node rejected")
 
     def _fill_metrics(self, registry, prefix: str) -> None:
         registry.inc(f"{prefix}.admitted", self.admitted)
@@ -207,7 +199,7 @@ class ShardedClusterService(ClusterService):
         # but delivery is a local accounting event: the generation pass
         # already shipped the request itself to the owning shard
         fabric = self.fabric
-        spec = fabric.link_for(CLIENT, node.name)
+        spec = fabric.link
         rng = fabric.rng_for(CLIENT, node.name)
         fabric.sent += 1
         if spec.drop_prob > 0.0 and rng.random() < spec.drop_prob:
@@ -342,8 +334,9 @@ class ShardWorker:
                     if config.threads_per_peer > 0 else None)
         self.segments = config.segments
         self.rtt_cycles = config.rtt_cycles
+        self.link = config.link
         self.nodes: Dict[int, ClusterNode] = {}
-        self._response_links: Dict[int, Tuple[Any, Any]] = {}
+        self._response_rngs: Dict[int, Any] = {}
         # node internals (queueing servers, ISA machines) register with
         # a worker-local session when the coordinator is collecting;
         # per-node marks let export_obs ship them back per node so the
@@ -364,7 +357,6 @@ class ShardWorker:
                 self._obs_marks.append(self._obs_mark())
                 node = ClusterNode(self.engine, node_id, config.design,
                                    costs,
-                                   cores=config.cores_per_node,
                                    queue_limit=config.queue_limit,
                                    resident_threads=resident,
                                    backend=config.backend,
@@ -373,9 +365,8 @@ class ShardWorker:
                                               if config.coherence == "off"
                                               else config.coherence))
                 self.nodes[node_id] = node
-                self._response_links[node_id] = (
-                    node_link_spec(config, node_id),
-                    streams.stream(f"{label}.net.{node.name}->client"))
+                self._response_rngs[node_id] = streams.stream(
+                    f"{label}.net.{node.name}->client")
             self._obs_marks.append(self._obs_mark())
         self._committed = 0
         self._rejects: List[Tuple[int, int]] = []
@@ -502,7 +493,8 @@ class ShardWorker:
     def _finished(self, attempt_id: int, node: ClusterNode) -> None:
         # the node->client wire draws happen worker-side on the same
         # per-link stream the single-engine fabric would use
-        spec, rng = self._response_links[node.node_id]
+        spec = self.link
+        rng = self._response_rngs[node.node_id]
         now = self.engine.now
         if spec.drop_prob > 0.0 and rng.random() < spec.drop_prob:
             self._drops.append((now, attempt_id))
@@ -702,14 +694,12 @@ def _outbound_chunks(config: ClusterConfig, seed: int,
     label = config.workload_label()
     streams = RngStreams(seed)
     stubs = [_NodeStub(node_id) for node_id in range(config.nodes)]
-    balancer = LoadBalancer(placement_pool(config, stubs), config.policy,
+    balancer = LoadBalancer(stubs, config.policy,
                             rng=streams.stream(f"{label}.lb"))
-    specs = {}
-    rngs = {}
-    for stub in stubs:
-        specs[stub.node_id] = node_link_spec(config, stub.node_id)
-        rngs[stub.node_id] = streams.stream(
-            f"{label}.net.{CLIENT}->{stub.name}")
+    spec = config.link
+    rngs = {stub.node_id:
+            streams.stream(f"{label}.net.{CLIENT}->{stub.name}")
+            for stub in stubs}
     arrivals = PoissonArrivals(config.mean_gap_cycles())
     gaps = arrivals.gaps(streams.stream(f"{label}.arrivals"))
     service_rng = streams.stream(f"{label}.service")
@@ -731,7 +721,6 @@ def _outbound_chunks(config: ClusterConfig, seed: int,
         for cycles in draws:
             node = balancer.pick()
             attempt += 1
-            spec = specs[node.node_id]
             rng = rngs[node.node_id]
             if spec.drop_prob > 0.0 and rng.random() < spec.drop_prob:
                 continue  # dropped on the request wire: never ships

@@ -26,7 +26,7 @@ from repro.cluster.balancer import (
 )
 from repro.cluster.fabric import Fabric, LinkSpec
 from repro.cluster.node import ClusterNode
-from repro.cluster.service import CLIENT, ClusterService
+from repro.cluster.service import ClusterService
 from repro.distributed.rpc import (
     EVENT_LOOP,
     HW_THREADS,
@@ -42,8 +42,8 @@ from repro.workloads.service import Exponential, ServiceDistribution
 #: Server designs by name, for the CLI and experiment sweeps.
 DESIGNS = {d.name: d for d in (HW_THREADS, SW_THREADS, EVENT_LOOP)}
 
-#: Shard placement policies (see :func:`build_cluster`).
-PLACEMENTS = ("any", "same-rack")
+#: Run horizon in mean inter-arrival gaps (see ClusterConfig.horizon).
+HORIZON_FACTOR = 8.0
 
 
 def get_design(name: str) -> ServerDesign:
@@ -69,20 +69,15 @@ class ClusterConfig:
     segments: int = 2
     rtt_cycles: int = 10_000        # mid-request remote call, per segment gap
     requests: int = 500
-    cores_per_node: int = 1
     queue_limit: Optional[int] = None
     hedge_after: Optional[int] = None
     threads_per_peer: int = 4       # worker-pool size per cluster peer
     link: LinkSpec = LinkSpec()
-    horizon_factor: float = 8.0     # run horizon in mean-gap multiples
     backend: str = "model"          # server backend: "model" | "isa"
     probe_delay_cycles: int = 0     # jsq/p2c load-signal staleness
-    racks: int = 1                  # nodes are striped node_id % racks
-    cross_rack_link: Optional[LinkSpec] = None  # client<->other racks
-    placement: str = "any"          # "any" | "same-rack" shard placement
     shards: int = 1                 # engine shards (parallel-in-time PDES)
     coherence: str = "off"          # watch-bus model: "off" | "directory"
-                                    # | "null" (isa backend only)
+                                    # (isa backend only)
 
     def __post_init__(self) -> None:
         if not isinstance(self.design, ServerDesign):
@@ -91,8 +86,7 @@ class ClusterConfig:
                 f"one up by name with get_design() (known designs: "
                 f"{', '.join(DESIGNS)})")
         for name in ("nodes", "requests", "fanout", "segments",
-                     "cores_per_node", "threads_per_peer", "racks",
-                     "shards"):
+                     "threads_per_peer", "shards"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(
@@ -101,17 +95,9 @@ class ClusterConfig:
             raise ConfigError(
                 f"link must be a LinkSpec, e.g. LinkSpec(drop_prob=0.01), "
                 f"got {self.link!r}")
-        if not isinstance(self.cross_rack_link, (LinkSpec, type(None))):
-            raise ConfigError(
-                f"cross_rack_link must be a LinkSpec or None (None reuses "
-                f"link), got {self.cross_rack_link!r}")
         if self.rtt_cycles < 0:
             raise ConfigError(
                 f"rtt_cycles must be >= 0, got {self.rtt_cycles}")
-        if not self.horizon_factor > 0:
-            raise ConfigError(
-                f"horizon_factor must be positive (the run horizon in "
-                f"mean inter-arrival gaps), got {self.horizon_factor}")
         for name in ("load", "mean_service_cycles"):
             value = getattr(self, name)
             if (isinstance(value, bool)
@@ -150,16 +136,6 @@ class ClusterConfig:
             raise ConfigError(
                 f"probe delay must be >= 0 cycles, got "
                 f"{self.probe_delay_cycles}")
-        if self.racks < 1:
-            raise ConfigError(f"need at least one rack, got {self.racks}")
-        if self.racks > self.nodes:
-            raise ConfigError(
-                f"{self.racks} racks need at least as many nodes, "
-                f"got {self.nodes}")
-        if self.placement not in PLACEMENTS:
-            raise ConfigError(
-                f"unknown placement {self.placement!r}; known: "
-                f"{', '.join(PLACEMENTS)}")
         if self.shards < 1:
             raise ConfigError(
                 f"need at least one shard, got {self.shards}")
@@ -190,7 +166,7 @@ class ClusterConfig:
     def label(self) -> str:
         """Stable stream-name prefix for this configuration.
 
-        Non-default fidelity/topology knobs append suffixes so new
+        Non-default fidelity knobs append suffixes so new
         configurations get fresh streams, while every pre-existing
         configuration keeps its exact historical label (byte-identical
         tables across the backend refactor). ``shards`` is deliberately
@@ -204,17 +180,15 @@ class ClusterConfig:
             extra += f".coh-{self.coherence}"
         if self.probe_delay_cycles:
             extra += f".pd{self.probe_delay_cycles}"
-        if self.racks > 1:
-            extra += f".r{self.racks}.{self.placement}"
         return (f"cluster.n{self.nodes}.{self.design.name}.{self.policy}"
                 f".f{self.fanout}.l{self.load}{extra}")
 
     def workload_label(self) -> str:
         """Stream prefix for the *offered workload* -- deliberately
-        independent of the server design, the backend fidelity level,
-        the probe delay, and the placement policy, so hw-threads and
-        sw-threads clusters -- and behavioral-model and ISA-level
-        clusters -- face identical arrival times and service draws
+        independent of the server design, the backend fidelity level
+        and the probe delay, so hw-threads and sw-threads clusters --
+        and behavioral-model and ISA-level clusters -- face identical
+        arrival times and service draws
         (common random numbers: comparisons measure the design or the
         backend, not the sampling noise)."""
         return (f"cluster.n{self.nodes}.{self.policy}"
@@ -224,16 +198,14 @@ class ClusterConfig:
         """Cluster inter-arrival gap that offers ``load`` per node.
 
         Each arrival puts ``fanout`` shards of mean service into the
-        cluster, spread over ``nodes`` nodes of ``cores_per_node``
-        capacity each.
+        cluster, spread over ``nodes`` single-core nodes.
         """
         demand_per_arrival = self.fanout * self.mean_service_cycles
-        capacity = self.nodes * self.cores_per_node
-        return demand_per_arrival / (self.load * capacity)
+        return demand_per_arrival / (self.load * self.nodes)
 
     def horizon(self) -> int:
         return int(self.requests * self.mean_gap_cycles()
-                   * self.horizon_factor) + 16 * self.rtt_cycles
+                   * HORIZON_FACTOR) + 16 * self.rtt_cycles
 
 
 @dataclass
@@ -246,22 +218,12 @@ class ClusterRunResult:
     summary: Dict[str, Any]
 
 
-def node_link_spec(config: ClusterConfig, node_id: int) -> LinkSpec:
-    """The (symmetric) client<->node link spec under this topology:
-    the client sits in rack 0, so nodes in any other rack pay the
-    cross-rack spec when one is configured."""
-    if config.cross_rack_link is not None and node_id % config.racks != 0:
-        return config.cross_rack_link
-    return config.link
-
-
 def request_lookahead(config: ClusterConfig) -> int:
-    """The conservative-PDES lookahead: the minimum base latency of any
-    client->node link that can carry a request. Every cross-shard
-    message pays at least this much wire time, so a shard that has seen
-    all messages sent by time T is safe to run through T + lookahead."""
-    return min(node_link_spec(config, node_id).base_cycles
-               for node_id in range(config.nodes))
+    """The conservative-PDES lookahead: the base latency of the
+    client->node link. Every cross-shard message pays at least this
+    much wire time, so a shard that has seen all messages sent by time
+    T is safe to run through T + lookahead."""
+    return config.link.base_cycles
 
 
 def build_cluster(config: ClusterConfig, streams: RngStreams,
@@ -276,7 +238,6 @@ def build_cluster(config: ClusterConfig, streams: RngStreams,
                 if config.threads_per_peer > 0 else None)
     coherence = None if config.coherence == "off" else config.coherence
     nodes = [ClusterNode(engine, node_id, config.design, costs,
-                         cores=config.cores_per_node,
                          queue_limit=config.queue_limit,
                          resident_threads=resident,
                          backend=config.backend,
@@ -285,22 +246,13 @@ def build_cluster(config: ClusterConfig, streams: RngStreams,
     return build_front_end(config, streams, engine, nodes)
 
 
-def placement_pool(config: ClusterConfig, nodes: Sequence) -> Sequence:
-    """The nodes the balancer may route to: "same-rack" placement keeps
-    shards in the client's rack (rack 0, node_id % racks == 0); "any"
-    spreads over the whole cluster."""
-    if config.placement == "same-rack":
-        return [n for n in nodes if n.node_id % config.racks == 0]
-    return nodes
-
-
 def build_front_end(config: ClusterConfig, streams: RngStreams,
                     engine: Engine, nodes: Sequence,
                     service_class: type = ClusterService) -> ClusterService:
     """Balancer, fabric and front-end over ``nodes`` (the cluster's own
     nodes, or the client-side proxies of a sharded run)."""
     label = config.workload_label()
-    balancer = LoadBalancer(placement_pool(config, nodes), config.policy,
+    balancer = LoadBalancer(nodes, config.policy,
                             rng=streams.stream(f"{label}.lb"),
                             probe_delay_cycles=config.probe_delay_cycles,
                             engine=engine)
@@ -309,13 +261,8 @@ def build_front_end(config: ClusterConfig, streams: RngStreams,
     # worker reproduce its own links without seeing the others
     fabric = Fabric(
         engine,
-        stream_factory=lambda link: streams.stream(f"{label}.net.{link}"),
-        default_link=config.link)
-    for node in nodes:
-        spec = node_link_spec(config, node.node_id)
-        if spec is not config.link:
-            fabric.set_link(CLIENT, node.name, spec)
-            fabric.set_link(node.name, CLIENT, spec)
+        lambda link: streams.stream(f"{label}.net.{link}"),
+        link=config.link)
     return service_class(engine, nodes, balancer, fabric,
                          fanout=config.fanout, segments=config.segments,
                          rtt_cycles=config.rtt_cycles,

@@ -41,7 +41,6 @@ from repro.cluster.fabric import Fabric
 from repro.cluster.node import ClusterNode
 from repro.errors import ConfigError
 from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
 
 CLIENT = "client"
 
@@ -95,7 +94,6 @@ class ClusterService:
         self.rtt_cycles = rtt_cycles
         self.hedge_after = hedge_after
         self.recorder = LatencyRecorder("cluster.latency")
-        self.tracer = Tracer(engine)
         # cluster-request accounting
         self.issued = 0
         self.completed = 0
@@ -141,7 +139,6 @@ class ClusterService:
                                       self.fanout)
         self.issued += 1
         self.in_flight += 1
-        self.tracer.count("cluster issued")
         for shard_index, cycles in enumerate(shard_service_cycles):
             shard = _ShardState()
             state.shards.append(shard)
@@ -234,7 +231,6 @@ class ClusterService:
             self.in_flight -= 1
             latency = self.engine.now - state.arrived
             self.recorder.record(latency)
-            self.tracer.count("cluster completed")
             if self._obs_latency is not None:
                 self._obs_latency.record(latency)
             if self._spans is not None:
@@ -256,7 +252,6 @@ class ClusterService:
             state.settled = True
             self.dropped += 1
             self.in_flight -= 1
-            self.tracer.count("cluster dropped")
             if self._spans is not None:
                 self._spans.request_settled(state.request_id,
                                             self.engine.now, "dropped")
@@ -268,7 +263,6 @@ class ClusterService:
         if state.settled or shard.done:
             return
         self.hedges_sent += 1
-        self.tracer.count("cluster hedges")
         self._launch(state, shard_index, cycles)
 
     # ------------------------------------------------------------------
@@ -318,15 +312,6 @@ class ClusterService:
         }
 
     # ------------------------------------------------------------------
-    def merged_tracer(self) -> Tracer:
-        """One tracer folding the service's and every node's counters
-        (the cross-node ``Tracer.merge`` view)."""
-        merged = Tracer(enabled=True)
-        merged.merge(self.tracer)
-        for node in self.nodes:
-            merged.merge(node.tracer)
-        return merged
-
     def _fill_metrics(self, registry, prefix: str) -> None:
         registry.inc(f"{prefix}.issued", self.issued)
         registry.inc(f"{prefix}.completed", self.completed)

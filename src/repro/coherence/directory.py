@@ -29,10 +29,10 @@ anywhere" (Section 3.1), and they grow with the sharer count.
 The model plugs into :class:`~repro.mem.watch.WatchBus` via its
 ``coherence`` attribute (see :meth:`WatchBus.notify`); with the hook
 left at ``None`` -- the default everywhere -- the bus byte-identically
-reproduces the seed's flat behavior. A ``"null"`` model (every latency
-zero) takes the coherent code path but degenerates to synchronous
-delivery, which is what the CI identity gate byte-compares against the
-default.
+reproduces the seed's flat behavior. A model built from a
+:class:`~repro.arch.costs.CostModel` whose ``dir_*`` fields are all
+zero takes the coherent code path but degenerates to synchronous
+delivery; the tests byte-compare that against the default.
 
 Lines with no sharers are not tracked: the entry is deallocated when
 the last sharer leaves (back to I/M from the directory's point of
@@ -44,39 +44,24 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.arch.costs import CostModel
-from repro.errors import ConfigError
 
-#: Registered model names (``MachineConfig.coherence`` /
-#: ``REPRO_COHERENCE``): ``"directory"`` prices the protocol with the
-#: CostModel's ``dir_*`` fields; ``"null"`` runs the same protocol at
-#: zero cost (identity audits).
-MODEL_NAMES = ("directory", "null")
+#: Registered model names (``MachineConfig.coherence``): ``"directory"``
+#: prices the protocol with the CostModel's ``dir_*`` fields.
+MODEL_NAMES = ("directory",)
 
 
 class DirectoryModel:
     """Per-line sharer sets with invalidation/forward pricing."""
 
     def __init__(self, costs: Optional[CostModel] = None,
-                 engine: Optional[Any] = None,
-                 arm_cycles: Optional[int] = None,
-                 disarm_cycles: Optional[int] = None,
-                 inval_base_cycles: Optional[int] = None,
-                 inval_per_sharer_cycles: Optional[int] = None,
-                 forward_cycles: Optional[int] = None):
+                 engine: Optional[Any] = None):
         costs = costs or CostModel()
         self.engine = engine
-        self.arm_cycles = (costs.dir_arm_cycles if arm_cycles is None
-                           else arm_cycles)
-        self.disarm_cycles = (costs.dir_disarm_cycles
-                              if disarm_cycles is None else disarm_cycles)
-        self.inval_base_cycles = (costs.dir_inval_base_cycles
-                                  if inval_base_cycles is None
-                                  else inval_base_cycles)
-        self.inval_per_sharer_cycles = (
-            costs.dir_inval_per_sharer_cycles
-            if inval_per_sharer_cycles is None else inval_per_sharer_cycles)
-        self.forward_cycles = (costs.dir_forward_cycles
-                               if forward_cycles is None else forward_cycles)
+        self.arm_cycles = costs.dir_arm_cycles
+        self.disarm_cycles = costs.dir_disarm_cycles
+        self.inval_base_cycles = costs.dir_inval_base_cycles
+        self.inval_per_sharer_cycles = costs.dir_inval_per_sharer_cycles
+        self.forward_cycles = costs.dir_forward_cycles
         # line -> insertion-ordered sharer set (the watches in S state)
         self._sharers: Dict[int, Dict[Any, None]] = {}
         # stats (harvested into coherence.directory{N}.* metrics)
@@ -94,21 +79,6 @@ class DirectoryModel:
         #: the issuing store instruction reads this (see
         #: repro.isa.decode._make_st)
         self.last_write_cycles = 0
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_name(cls, name: str, costs: Optional[CostModel] = None,
-                  engine: Optional[Any] = None) -> "DirectoryModel":
-        """Build a registered model variant by name."""
-        if name == "directory":
-            return cls(costs=costs, engine=engine)
-        if name == "null":
-            return cls(costs=costs, engine=engine, arm_cycles=0,
-                       disarm_cycles=0, inval_base_cycles=0,
-                       inval_per_sharer_cycles=0, forward_cycles=0)
-        raise ConfigError(
-            f"unknown coherence model {name!r}; known models: "
-            f"{', '.join(MODEL_NAMES)}")
 
     # ------------------------------------------------------------------
     # protocol events (called by the WatchBus / Watch)

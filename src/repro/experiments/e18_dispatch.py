@@ -28,7 +28,6 @@ measured here, both required to be *behaviorally invisible*:
 
 from __future__ import annotations
 
-import os
 from typing import Dict
 
 from repro.analysis.report import ExperimentResult, Verdict
@@ -82,20 +81,10 @@ def _spin_profile(weights, horizon: int) -> Dict[int, int]:
 def _dispatch_cell(traced: bool, iters: int) -> Dict[str, int]:
     """The ALU loop on a fused (untraced) or per-instruction (traced)
     core."""
-    # the engine-event count IS the measurement here, and it depends on
-    # the stepping mode -- so the cell pins fast-forward on (shipped
-    # configuration) rather than inherit REPRO_NO_FASTFORWARD, keeping
-    # the evaluation byte-identical across stepping modes like every
-    # other experiment (whose tables report architectural state only)
-    prior = os.environ.pop("REPRO_NO_FASTFORWARD", None)
-    try:
-        machine = build_machine(trace=traced, hw_threads_per_core=2)
-        machine.load_asm(0, _ALU_LOOP.format(iters=iters), supervisor=True)
-        machine.boot(0)
-        machine.run()
-    finally:
-        if prior is not None:
-            os.environ["REPRO_NO_FASTFORWARD"] = prior
+    machine = build_machine(trace=traced, hw_threads_per_core=2)
+    machine.load_asm(0, _ALU_LOOP.format(iters=iters), supervisor=True)
+    machine.boot(0)
+    machine.run()
     thread = machine.thread(0)
     return {
         "instructions": thread.instructions_executed,

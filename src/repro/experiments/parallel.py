@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import ExperimentResult
 from repro.errors import ConfigError
-from repro.sim.trace import Tracer
 
 #: One worker job: (experiment_id, quick, seed, instrument).
 _Job = Tuple[str, bool, Optional[int], bool]
@@ -32,27 +31,21 @@ _Job = Tuple[str, bool, Optional[int], bool]
 
 @dataclass
 class InstrumentedRun:
-    """What :func:`run_instrumented` returns: results in id order, one
-    metrics snapshot per experiment, and the workers' tracers merged
-    (counters add, events concatenate up to the limit)."""
+    """What :func:`run_instrumented` returns: results in id order and
+    one metrics snapshot per experiment."""
 
     results: List[ExperimentResult]
     snapshots: Dict[str, Dict[str, Any]]
-    tracer: Tracer = field(default_factory=lambda: Tracer(enabled=True))
 
 
 def _run_one(job: _Job) -> Tuple[ExperimentResult,
-                                 Optional[Dict[str, Any]],
-                                 Optional[Tracer]]:
+                                 Optional[Dict[str, Any]]]:
     """Worker entry point: run one experiment by id (module level so it
     pickles under the spawn start method).
 
     With ``instrument`` set, the experiment runs inside a fresh obs
     session: every machine it builds instruments itself, and the worker
-    sends back the session snapshot plus an engine-free tracer merging
-    the machines' counters (a live Tracer holds the engine and its
-    generator processes, which do not pickle -- Tracer.merge strips
-    that)."""
+    sends back the session snapshot."""
     experiment_id, quick, seed, instrument = job
     from repro.experiments import get_experiment
 
@@ -60,15 +53,12 @@ def _run_one(job: _Job) -> Tuple[ExperimentResult,
     kwargs = {"quick": quick} if seed is None else {"quick": quick,
                                                     "seed": seed}
     if not instrument:
-        return experiment.run(**kwargs), None, None
+        return experiment.run(**kwargs), None
     import repro.obs as obs
 
     with obs.session(experiment_id) as sess:
         result = experiment.run(**kwargs)
-    summary = Tracer(enabled=True)
-    for machine in sess.machines:
-        summary.merge(machine.tracer)
-    return result, sess.snapshot(), summary
+    return result, sess.snapshot()
 
 
 def _execute(jobs: List[_Job], workers: int) -> List[Tuple]:
@@ -106,8 +96,7 @@ def run_parallel(experiment_ids: Optional[Sequence[str]] = None,
     experiments, workers = _plan(experiment_ids, workers)
     jobs: List[_Job] = [(e.experiment_id, quick, seed, False)
                         for e in experiments]
-    return [result for result, _snapshot, _tracer
-            in _execute(jobs, workers)]
+    return [result for result, _snapshot in _execute(jobs, workers)]
 
 
 def span_artifacts(results: Sequence[ExperimentResult]
@@ -146,8 +135,7 @@ def run_instrumented(experiment_ids: Optional[Sequence[str]] = None,
     jobs: List[_Job] = [(e.experiment_id, quick, seed, True)
                         for e in experiments]
     run = InstrumentedRun(results=[], snapshots={})
-    for job, (result, snapshot, tracer) in zip(jobs, _execute(jobs, workers)):
+    for job, (result, snapshot) in zip(jobs, _execute(jobs, workers)):
         run.results.append(result)
         run.snapshots[job[0]] = snapshot
-        run.tracer.merge(tracer)
     return run

@@ -24,8 +24,7 @@ class Chip:
                  costs: Optional[CostModel] = None,
                  security_model: str = "tdt",
                  rf_bytes: int = 64 * 1024,
-                 tracer: Optional[Any] = None,
-                 fast_forward: bool = True):
+                 tracer: Optional[Any] = None):
         if cores < 1:
             raise ConfigError(f"chip needs at least one core, got {cores}")
         self.engine = engine
@@ -38,8 +37,7 @@ class Chip:
             self.cores.append(HWCore(
                 engine, memory, core_id=core_id, num_ptids=num_ptids,
                 smt_width=smt_width, costs=self.costs, storage=storage,
-                security_model=security_model, tracer=tracer,
-                fast_forward=fast_forward))
+                security_model=security_model, tracer=tracer))
 
     def core(self, core_id: int) -> HWCore:
         if not 0 <= core_id < len(self.cores):

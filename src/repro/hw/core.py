@@ -30,7 +30,6 @@ analogue and halts the core.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.arch.costs import CostModel
@@ -60,8 +59,7 @@ class HWCore:
                  costs: Optional[CostModel] = None,
                  storage: Optional[ThreadStateStore] = None,
                  security_model: str = "tdt",
-                 tracer: Optional[Any] = None,
-                 fast_forward: bool = True):
+                 tracer: Optional[Any] = None):
         if num_ptids < 1:
             raise ConfigError(f"core needs at least one ptid, got {num_ptids}")
         if smt_width < 1:
@@ -92,12 +90,6 @@ class HWCore:
             thread.monitor = thread_monitor  # type: ignore[attr-defined]
             self.threads.append(thread)
             self.storage.register(ptid)
-        # REPRO_NO_FASTFORWARD=1 forces naive cycle stepping everywhere
-        # (the reference mode the equivalence tests diff against)
-        self.fast_forward_enabled = (
-            bool(fast_forward)
-            and os.environ.get("REPRO_NO_FASTFORWARD", "") not in ("1", "true", "yes")
-        )
         # a core whose tracer is on at construction runs unfused chains
         # and emits one `issue` record per instruction (see _decode)
         self._traced = bool(getattr(tracer, "enabled", False))
@@ -240,7 +232,6 @@ class HWCore:
         # per-round body (this loop resumes once per simulated cycle).
         # `profile` is read at the first engine dispatch, after
         # Machine.__init__ has had its chance to attach_obs.
-        ff_enabled = self.fast_forward_enabled
         width = self.smt_width
         select = self.arbiter.select
         issue_one = self._issue_one
@@ -281,29 +272,28 @@ class HWCore:
                 if profile is not None:
                     profile.settle(engine.now)
                 continue
-            if ff_enabled:
-                plan = self._plan_fast_forward(runnable, issueable, now)
-                if plan is not None:
-                    cycles, lazy, contended = plan
-                    if profile is not None:
-                        profile.pend("fastforward", now)
-                    if not lazy:
-                        yield self._apply_fast_forward(
-                            issueable, cycles, contended, now)
-                        if profile is not None:
-                            profile.settle(engine.now)
-                        continue
-                    # interruptible batch: a step event (another core's
-                    # resume) falls inside the window, so park until the
-                    # timeout or a wake and account whatever elapsed
-                    yield AnyOf((cycles, wake))
+            plan = self._plan_fast_forward(runnable, issueable, now)
+            if plan is not None:
+                cycles, lazy, contended = plan
+                if profile is not None:
+                    profile.pend("fastforward", now)
+                if not lazy:
+                    yield self._apply_fast_forward(
+                        issueable, cycles, contended, now)
                     if profile is not None:
                         profile.settle(engine.now)
-                    elapsed = engine.now - now
-                    if elapsed:
-                        self._apply_fast_forward(
-                            issueable, elapsed, contended, now)
                     continue
+                # interruptible batch: a step event (another core's
+                # resume) falls inside the window, so park until the
+                # timeout or a wake and account whatever elapsed
+                yield AnyOf((cycles, wake))
+                if profile is not None:
+                    profile.settle(engine.now)
+                elapsed = engine.now - now
+                if elapsed:
+                    self._apply_fast_forward(
+                        issueable, elapsed, contended, now)
+                continue
             if profile is not None:
                 # Attribution must be a pure function of simulation
                 # state, never of whether a batch plan happened to fire

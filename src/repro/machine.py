@@ -15,7 +15,6 @@ build TDTs, run the simulation.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Dict, Optional
 
@@ -55,26 +54,25 @@ class MachineConfig:
     #: repro.obs session. Off, the issue loop skips every profiler call
     #: behind one None check; on or off, the simulation is the same.
     instrument: bool = False
-    #: busy-cycle fast-forward (see HWCore._plan_fast_forward); results are
-    #: identical either way, only wall-clock differs. The
-    #: REPRO_NO_FASTFORWARD env var overrides this to False.
-    fast_forward: bool = True
-    #: not a field, and not settable: every core runs pre-decoded
-    #: handler chains (repro.isa.decode). Kept readable, always True,
-    #: for run manifests that still record it.
+    #: not fields, and not settable: every core batches busy cycles
+    #: (HWCore._plan_fast_forward) and runs pre-decoded handler chains
+    #: (repro.isa.decode). Kept readable, always True, for run
+    #: manifests that still record them.
+    fast_forward: ClassVar[bool] = True
     predecode: ClassVar[bool] = True
     #: watch-bus coherence model: None (flat free bus, the seed
-    #: behavior), "directory" (MSI directory priced by the CostModel's
-    #: dir_* fields), or "null" (directory protocol at zero cost, for
-    #: identity audits). The REPRO_COHERENCE env var supplies a value
-    #: when this is None.
+    #: behavior) or "directory" (MSI directory priced by the
+    #: CostModel's dir_* fields)
     coherence: Optional[str] = None
 
     def validate(self) -> None:
-        if self.cores < 1:
-            raise ConfigError("cores must be >= 1")
-        if self.hw_threads_per_core < 1:
-            raise ConfigError("hw_threads_per_core must be >= 1")
+        for name in ("cores", "hw_threads_per_core", "smt_width",
+                     "rf_bytes", "memory_bytes"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < 1):
+                raise ConfigError(
+                    f"{name} must be an integer >= 1, got {value!r}")
         if self.coherence is not None:
             from repro.coherence.directory import MODEL_NAMES
             if self.coherence not in MODEL_NAMES:
@@ -109,8 +107,7 @@ class Machine:
                          smt_width=config.smt_width, costs=config.costs,
                          security_model=config.security_model,
                          rf_bytes=config.rf_bytes,
-                         tracer=self.tracer,
-                         fast_forward=config.fast_forward)
+                         tracer=self.tracer)
         self.dma = DmaEngine(self.engine, self.memory)
         # observability: instrument when asked to, or when built inside
         # an active obs session (how the CLI instruments experiments).
@@ -131,12 +128,10 @@ class Machine:
         # watch, so its sharer sets mirror the bus from the first
         # monitor on. Registered with the ambient session where the
         # machine lives (a PDES shard worker ships it home per node).
-        coherence = config.coherence or os.environ.get("REPRO_COHERENCE")
         self.coherence = None
-        if coherence:
+        if config.coherence is not None:
             from repro.coherence.directory import DirectoryModel
-            self.coherence = DirectoryModel.from_name(
-                coherence, costs=config.costs, engine=self.engine)
+            self.coherence = DirectoryModel(config.costs, self.engine)
             self.memory.watch_bus.coherence = self.coherence
             if session is not None:
                 session.register_source("coherence.directory",

@@ -29,7 +29,7 @@ This module provides the transport-agnostic pieces:
   into a timeline under remapped track ids.
 
 Every digest quantity is a pure function of the (byte-identical)
-simulation history -- cores, memory, caches, tracer shims, timelines,
+simulation history -- cores, memory, caches, dropped traces, timelines,
 and the profiler buckets -- so a sharded snapshot round-trips exactly,
 for the behavioral and the ISA backend alike.  Two host-engine
 artifacts used to leak through and were closed at the source:

@@ -5,7 +5,7 @@ A *snapshot* is a plain JSON-serializable dict combining three sources:
 1. the live :class:`~repro.obs.metrics.MetricsRegistry` (histograms and
    counters recorded on the hot paths while instrumentation is on);
 2. a *harvest* of the simulator's existing statistics (engine, cores,
-   storage, memory, watch bus, tracer counters) -- these are kept as
+   storage, memory, watch bus, dropped trace records) -- these are kept as
    ordinary attributes at zero cost and only converted to metrics when
    a snapshot is taken;
 3. the cycle-attribution profiles, whose buckets provably sum to
@@ -29,7 +29,7 @@ prefix              meaning
 ``kernel.sched.*``  queueing-server latency histograms and counters
 ``kernel.io.*``     I/O-server wakeups, wasted cycles, latency
 ``dev.*``           devices (NIC packet counters)
-``trace.*``         compat shim: legacy ``Tracer.count`` counters
+``trace.*``         trace records dropped past a tracer's limit
 ``cluster.service{N}.*``  cluster front-end: request/attempt/hedge
                     counters and the end-to-end latency histogram
 ``cluster.node{N}.*``  per-node admission/completion/busy counters
@@ -62,7 +62,7 @@ NAMESPACE = {
     "kernel.sched": "queueing-server latency histograms and counters",
     "kernel.io": "I/O-server wakeups, wasted cycles, latency",
     "dev": "devices (NIC packet counters)",
-    "trace": "compat shim for legacy Tracer.count counters",
+    "trace": "trace records dropped past a tracer's limit",
     "cluster.service{N}": "cluster front-end: request/attempt/hedge "
                           "counters, the end-to-end latency histogram, "
                           "and the full conservation audit "
@@ -81,11 +81,6 @@ NAMESPACE = {
                         "cache hits/misses, invtid broadcasts, and "
                         "cross-shard cycles",
 }
-
-
-def _shim_name(counter: str) -> str:
-    """Legacy tracer counter -> metric name (spaces are not legal)."""
-    return "trace." + "_".join(counter.split())
 
 
 def harvest_machine(machine, registry: MetricsRegistry) -> None:
@@ -128,8 +123,6 @@ def harvest_machine(machine, registry: MetricsRegistry) -> None:
             registry.inc(f"{sprefix}.starts.{tier.value}", count)
         for tier, count in storage.occupancy().items():
             registry.set(f"{sprefix}.occupancy.{tier}", count)
-    for counter, amount in sorted(machine.tracer.counters.items()):
-        registry.inc(_shim_name(counter), amount)
     if machine.tracer.dropped:
         registry.inc("trace.dropped_events", machine.tracer.dropped)
 

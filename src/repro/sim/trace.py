@@ -1,15 +1,12 @@
-"""Structured tracing and counters for simulations.
+"""Structured tracing for simulations.
 
 Components emit ``(time, category, message, payload)`` records through a
 shared :class:`Tracer`. Tracing is off by default (zero-cost beyond a
-boolean check) and can be enabled globally or per category. Experiments
-also use the tracer's counters for cheap aggregate accounting (e.g.
-"wasted polling cycles").
+boolean check) and can be enabled globally or per category.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
@@ -29,11 +26,7 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects trace events and integer counters.
-
-    ``enabled`` gates record collection; counters are always live because
-    experiments depend on them.
-    """
+    """Collects trace events; ``enabled`` gates record collection."""
 
     def __init__(self, engine: Any = None, enabled: bool = False,
                  categories: Optional[Set[str]] = None, limit: int = 1_000_000):
@@ -42,7 +35,6 @@ class Tracer:
         self.categories = categories  # None = all
         self.limit = limit
         self.events: List[TraceEvent] = []
-        self.counters: Counter = Counter()
         self.dropped = 0
 
     # ------------------------------------------------------------------
@@ -64,34 +56,12 @@ class Tracer:
         now = self.engine.now if self.engine is not None else 0
         self.events.append(TraceEvent(now, category, message, payload))
 
-    def count(self, counter: str, amount: int = 1) -> None:
-        """Bump an aggregate counter (always on)."""
-        self.counters[counter] += amount
-
-    def merge(self, other: "Tracer") -> None:
-        """Fold another tracer in (a parallel worker's, typically).
-
-        Counters add; events append up to this tracer's ``limit``, with
-        overflow -- and the other tracer's own overflow -- counted into
-        ``dropped`` so nothing vanishes silently across workers.
-        """
-        self.counters.update(other.counters)
-        self.dropped += other.dropped
-        space = self.limit - len(self.events)
-        if space >= len(other.events):
-            self.events.extend(other.events)
-        else:
-            kept = max(space, 0)
-            self.events.extend(other.events[:kept])
-            self.dropped += len(other.events) - kept
-
     # ------------------------------------------------------------------
     def filter(self, category: str) -> List[TraceEvent]:
         return [e for e in self.events if e.category == category]
 
     def clear(self) -> None:
         self.events.clear()
-        self.counters.clear()
         self.dropped = 0
 
     def dump(self, max_lines: int = 100) -> str:
@@ -101,4 +71,4 @@ class Tracer:
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Tracer events={len(self.events)} counters={len(self.counters)}>"
+        return f"<Tracer events={len(self.events)} dropped={self.dropped}>"

@@ -1,4 +1,11 @@
-"""The naive ISA interpreter: the oracle the decoded handler chains match.
+"""Naive references for the core: the oracles its fast paths match.
+
+Two fast paths, two oracles. :func:`naive_interpreter` checks the
+pre-decoded handler chains; :func:`naive_stepping` checks the
+busy-cycle fast-forward.
+
+The naive ISA interpreter
+-------------------------
 
 ``repro.isa.decode`` compiles every program once into per-instruction
 closures (operands resolved to GPR slots, labels to indices, latencies
@@ -22,6 +29,15 @@ issue loop binds ``_issue_one`` when it first resumes, and keeps it::
 
 A traced machine under the oracle emits the same ``issue`` record per
 instruction as a traced decoded machine, which runs unfused.
+
+Naive stepping
+--------------
+``HWCore._plan_fast_forward`` batches the issue rounds in which every
+issueable thread is mid-``work``, and claims the batch is invisible
+except in ``engine.events_processed``. Under :func:`naive_stepping`
+every such round runs one cycle at a time instead; the issue loop looks
+the planner up each round, so the block may start after the machine
+has run.
 """
 
 from __future__ import annotations
@@ -260,3 +276,28 @@ def naive_interpreter():
     if issued == before:
         raise AssertionError("the block issued nothing through the naive "
                              "oracle: did a core start before it?")
+
+
+@contextmanager
+def naive_stepping():
+    """Step every issue round inside the block one cycle at a time.
+
+    Raises ``AssertionError`` if no core asked for a plan inside the
+    block: the caller would then be comparing fast-forward with itself.
+    """
+    intercepted = 0
+
+    def plan_nothing(core, thread_list, issueable, now):
+        nonlocal intercepted
+        intercepted += 1
+        return None
+
+    planner = HWCore._plan_fast_forward
+    HWCore._plan_fast_forward = plan_nothing
+    try:
+        yield
+    finally:
+        HWCore._plan_fast_forward = planner
+    if not intercepted:
+        raise AssertionError("no core planned a fast-forward batch "
+                             "inside the block")

@@ -1,9 +1,8 @@
 """The server-backend protocol: registry, ISA backend, cluster knobs.
 
 Covers the pluggable-backend refactor (model vs ISA behind one
-protocol), the registry error paths, balancer probe staleness, the
-rack-locality placement knob, and the conservation-audit metrics
-round-trip.
+protocol), the registry error paths, balancer probe staleness, and the
+conservation-audit metrics round-trip.
 """
 
 import pytest
@@ -18,7 +17,6 @@ from repro.backends import (
 from repro.cluster import (
     ClusterConfig,
     DESIGNS,
-    LinkSpec,
     LoadBalancer,
     get_design,
     run_cluster,
@@ -74,12 +72,6 @@ class TestBackendRegistry:
             get_design("green-threads")
         with pytest.raises(ConfigError, match="hw-threads"):
             get_design("green-threads")
-
-    def test_isa_backend_rejects_multicore(self):
-        with pytest.raises(ConfigError, match="single-core"):
-            create_backend("isa", Engine(), HW_THREADS, cores=2)
-        with pytest.raises(ConfigError, match="single-core"):
-            run_cluster(_tiny_config(backend="isa", cores_per_node=2))
 
 
 # ----------------------------------------------------------------------
@@ -203,45 +195,6 @@ class TestProbeStaleness:
     def test_negative_delay_rejected_by_config(self):
         with pytest.raises(ConfigError, match="probe delay"):
             _tiny_config(probe_delay_cycles=-5)
-
-
-# ----------------------------------------------------------------------
-# rack locality (satellite: exercise Fabric.set_link)
-# ----------------------------------------------------------------------
-class TestRackLocality:
-    CROSS = LinkSpec(base_cycles=40_000, jitter_mean_cycles=500.0)
-
-    def _summary(self, placement):
-        config = _tiny_config(nodes=4, racks=2, requests=25,
-                              cross_rack_link=self.CROSS,
-                              placement=placement)
-        return run_cluster(config).summary
-
-    def test_cross_rack_tail_exceeds_same_rack(self):
-        same = self._summary("same-rack")
-        anywhere = self._summary("any")
-        assert same["completed"] == anywhere["completed"] > 0
-        assert same["conserved"] and anywhere["conserved"]
-        # half of "any" placements pay two 40k-cycle cross-rack hops
-        assert anywhere["p99"] > same["p99"]
-
-    def test_cross_rack_links_are_installed(self):
-        config = _tiny_config(nodes=4, racks=2,
-                              cross_rack_link=self.CROSS)
-        result = run_cluster(config)
-        fabric = result.service.fabric
-        # odd node ids sit in rack 1: both directions overridden
-        assert fabric.link_for("client", "node1") == self.CROSS
-        assert fabric.link_for("node1", "client") == self.CROSS
-        assert fabric.link_for("client", "node0") == config.link
-
-    def test_placement_validation(self):
-        with pytest.raises(ConfigError, match="unknown placement"):
-            _tiny_config(placement="nearest")
-        with pytest.raises(ConfigError, match="rack"):
-            _tiny_config(racks=0)
-        with pytest.raises(ConfigError, match="racks"):
-            _tiny_config(nodes=2, racks=4)
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,10 @@
 sharded TDT, and the cluster/obs plumbing around them.
 
 The load-bearing contract is the identity guarantee: with no model
-attached (the default everywhere) and with the ``"null"`` model (the
-directory protocol at zero latency) the simulation is byte-identical to
-the seed's flat bus -- which is what lets every E01-E16 result survive
-this subsystem landing.
+attached (the default everywhere) and with the zero-cost directory of
+``tests/null_directory.py`` (the directory protocol at zero latency)
+the simulation is byte-identical to the seed's flat bus -- which is
+what lets every E01-E16 result survive this subsystem landing.
 """
 
 import json
@@ -24,11 +24,13 @@ from repro.coherence import (
 )
 from repro.distributed.rpc import SW_THREADS
 from repro.errors import ConfigError
+from repro.experiments import get_experiment
 from repro.hw.tdt import Permission
 from repro.machine import build_machine
 from repro.mem.memory import Memory
 from repro.mem.watch import WatchBus
 from repro.sim.engine import Engine
+from tests.null_directory import null_directory, null_directory_everywhere
 
 COSTS = CostModel()
 
@@ -107,8 +109,7 @@ class TestDirectoryModel:
 
     def test_null_model_is_synchronous_and_free(self):
         bus = WatchBus()
-        bus.coherence = DirectoryModel.from_name("null", COSTS,
-                                                 engine=Engine())
+        bus.coherence = null_directory(Engine())
         watch = bus.watch(0)
         fired = []
         watch.signal.add_waiter(fired.append)
@@ -119,14 +120,15 @@ class TestDirectoryModel:
 
     def test_unknown_model_name_rejected(self):
         with pytest.raises(ConfigError):
-            DirectoryModel.from_name("mesi", COSTS)
-        with pytest.raises(ConfigError):
             build_machine(coherence="mesi")
+        # the zero-cost directory is a test oracle, not a model name
+        with pytest.raises(ConfigError, match="coherence"):
+            build_machine(coherence="null")
 
 
 class TestMachineIdentity:
-    """A machine with the null model == a machine with no model, byte
-    for byte; the directory model only ever adds cycles."""
+    """A machine on the zero-cost directory == a machine with no model,
+    byte for byte; the directory model only ever adds cycles."""
 
     WAITER = """
         movi r1, FLAG
@@ -155,7 +157,9 @@ class TestMachineIdentity:
 
     def test_null_matches_seed_byte_identically(self):
         seed = self._run(None).stats()
-        null = self._run("null").stats()
+        with null_directory_everywhere() as attached:
+            null = self._run(None).stats()
+        assert len(attached) == 1
         assert json.dumps(seed, sort_keys=True) \
             == json.dumps(null, sort_keys=True)
 
@@ -167,13 +171,23 @@ class TestMachineIdentity:
         assert priced.engine.now > seed.engine.now
         assert priced.coherence.forwards >= 1
 
+    #: every experiment whose quick run arms a watch on a machine that
+    #: has no coherence model of its own
+    WATCHING_EXPERIMENTS = ["E02", "E03", "E08", "E11", "E15", "E16"]
+
+    @pytest.mark.parametrize("experiment_id", WATCHING_EXPERIMENTS)
+    def test_quick_json_identical_on_the_zero_cost_directory(
+            self, experiment_id, quick_results):
+        with null_directory_everywhere():
+            null = get_experiment(experiment_id).run(quick=True).to_json()
+        assert quick_results[experiment_id].to_json() == null
+
 
 class TestRemoteStoreFabric:
     def _fabric(self, engine):
         import random
-        return Fabric(engine, rng=random.Random(7),
-                      default_link=LinkSpec(base_cycles=500,
-                                            jitter_mean_cycles=0.0))
+        return Fabric(engine, random.Random,
+                      link=LinkSpec(base_cycles=500, jitter_mean_cycles=0.0))
 
     def test_remote_store_lands_in_the_mailbox(self):
         engine = Engine()

@@ -32,10 +32,10 @@ class TestRegistry:
             assert "Section" in exp.paper_anchor or "Table" in exp.paper_anchor
 
 
-@pytest.fixture(scope="module")
-def results():
-    """Run every experiment once in quick mode; shared across tests."""
-    return {e.experiment_id: e.run(quick=True) for e in all_experiments()}
+@pytest.fixture
+def results(quick_results):
+    """Every experiment's quick result (the suite's one serial run)."""
+    return quick_results
 
 
 class TestAllExperiments:

@@ -4,16 +4,25 @@ The busy-cycle fast-forward in ``HWCore._plan_fast_forward`` claims to
 replay exactly the accounting naive cycle-by-cycle stepping would have
 produced -- retired instructions, per-thread busy cycles, final clock,
 wakeup/exception counts, and the trace event stream. These tests run
-the same workload twice (``fast_forward=True`` vs ``False``) and diff
-everything except ``events`` (the one counter that legitimately drops:
-skipping cycles is the whole point).
+the same workload twice, as shipped and under the naive-stepping oracle
+(``tests/naive_reference.py``), and diff everything except ``events``
+(the one counter that legitimately drops: skipping cycles is the whole
+point).
 """
-
-import os
 
 import pytest
 
 from repro import build_machine
+from repro.experiments import get_experiment
+from tests.naive_reference import naive_stepping
+
+
+def _run(workload, fast_forward: bool, **kwargs):
+    """``workload`` as shipped, or under the naive-stepping oracle."""
+    if fast_forward:
+        return workload(**kwargs)
+    with naive_stepping():
+        return workload(**kwargs)
 
 
 def _strip_events(stats):
@@ -50,9 +59,8 @@ LONE_MIXED = """
 """
 
 
-def _run_lone_mixed(fast_forward: bool, instrument: bool = False):
+def _run_lone_mixed(instrument: bool = False):
     machine = build_machine(cores=1, hw_threads_per_core=2,
-                            fast_forward=fast_forward,
                             instrument=instrument, trace=True)
     buf = machine.alloc("buf", 64)
     machine.load_asm(0, LONE_MIXED, symbols={"BUF": buf.base},
@@ -62,11 +70,10 @@ def _run_lone_mixed(fast_forward: bool, instrument: bool = False):
     return machine
 
 
-def _run_contended(fast_forward: bool, instrument: bool = False):
+def _run_contended(instrument: bool = False):
     """Contended SMT: 5 work-burst threads on 2 slots, plus a DMA-woken
     monitor sleeper and an exception-raising thread."""
     machine = build_machine(cores=1, hw_threads_per_core=8, smt_width=2,
-                            fast_forward=fast_forward,
                             instrument=instrument, trace=True)
     box = machine.alloc("box", 64)
     edp = machine.alloc("edp", 256)
@@ -104,11 +111,11 @@ def _run_contended(fast_forward: bool, instrument: bool = False):
     return machine
 
 
-def _run_uncontended_priority(fast_forward: bool):
+def _run_uncontended_priority():
     """Uncontended slots with unequal priorities: the batch replays
     full-pool picks whatever the weights."""
     machine = build_machine(cores=1, hw_threads_per_core=4, smt_width=2,
-                            fast_forward=fast_forward, trace=True)
+                            trace=True)
     machine.core(0).set_priority(0, 4)
     machine.load_asm(0, "work 5000\nmovi r9, 1\nhalt", supervisor=True)
     machine.load_asm(1, "work 3000\nmovi r9, 2\nhalt", supervisor=True)
@@ -118,12 +125,12 @@ def _run_uncontended_priority(fast_forward: bool):
     return machine
 
 
-def _run_contended_priority(fast_forward: bool):
+def _run_contended_priority():
     """Contended slots whose weights change mid-run from engine events:
     unequal weights step every round through the credit walk, equal
     ones batch whole rotations again, and each change re-plans."""
     machine = build_machine(cores=1, hw_threads_per_core=4, smt_width=2,
-                            fast_forward=fast_forward, trace=True)
+                            trace=True)
     core = machine.core(0)
     for ptid in range(4):
         machine.load_asm(ptid, f"work {3000 + 250 * ptid}\nhalt",
@@ -137,13 +144,12 @@ def _run_contended_priority(fast_forward: bool):
     return machine
 
 
-def _run_multicore(fast_forward: bool, instrument: bool = False):
+def _run_multicore(instrument: bool = False):
     """Two cores on one engine: each core's bursts must batch past the
     other core's per-cycle resumes (which live in the engine's step lane,
     outside the foreign-event horizon), and a cross-core store wakes a
     monitor sleeper mid-burst -- the interruptible (lazy) batch path."""
     machine = build_machine(cores=2, hw_threads_per_core=4, smt_width=2,
-                            fast_forward=fast_forward,
                             instrument=instrument, trace=True)
     box = machine.alloc("box", 64)
     for ptid in range(3):
@@ -187,8 +193,8 @@ def _run_multicore(fast_forward: bool, instrument: bool = False):
                                       _run_uncontended_priority,
                                       _run_contended_priority])
 def test_fast_forward_matches_naive(workload):
-    fast = workload(True)
-    naive = workload(False)
+    fast = _run(workload, True)
+    naive = _run(workload, False)
     ptids = range(fast.config.hw_threads_per_core)
     assert fast.engine.now == naive.engine.now
     assert _strip_events(fast.stats()) == _strip_events(naive.stats())
@@ -198,8 +204,8 @@ def test_fast_forward_matches_naive(workload):
 
 
 def test_multicore_fast_forward_matches_naive():
-    fast = _run_multicore(True)
-    naive = _run_multicore(False)
+    fast = _run(_run_multicore, True)
+    naive = _run(_run_multicore, False)
     assert fast.engine.now == naive.engine.now
     assert _strip_events(fast.stats()) == _strip_events(naive.stats())
     ptids = range(fast.config.hw_threads_per_core)
@@ -223,8 +229,8 @@ def test_multicore_fast_forward_matches_naive():
 def test_instrumentation_only_observes(workload, fast_forward):
     """The profiler rides the one issue loop without steering it: an
     instrumented run is the uninstrumented run, engine events included."""
-    plain = workload(fast_forward)
-    observed = workload(fast_forward, instrument=True)
+    plain = _run(workload, fast_forward)
+    observed = _run(workload, fast_forward, instrument=True)
     assert plain.obs is None and observed.obs is not None
 
     def stats(machine):
@@ -240,14 +246,14 @@ def test_instrumentation_only_observes(workload, fast_forward):
 
 
 def test_fast_forward_actually_skips_events():
-    fast = _run_contended(True)
-    naive = _run_contended(False)
+    fast = _run(_run_contended, True)
+    naive = _run(_run_contended, False)
     assert fast.engine.events_processed < naive.engine.events_processed / 5
 
 
 def test_storage_recency_order_preserved():
-    fast = _run_contended(True)
-    naive = _run_contended(False)
+    fast = _run(_run_contended, True)
+    naive = _run(_run_contended, False)
 
     def recency(machine):
         last_use = machine.core(0).storage._last_use
@@ -256,13 +262,16 @@ def test_storage_recency_order_preserved():
     assert recency(fast) == recency(naive)
 
 
-def test_env_var_forces_naive(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_FASTFORWARD", "1")
-    machine = build_machine(fast_forward=True)
-    assert not machine.core(0).fast_forward_enabled
+#: every experiment whose quick run consults the fast-forward planner;
+#: E03's cores never do, and E18 reports engine events, which depend on
+#: the stepping by design
+STEPPED_EXPERIMENTS = ["E01", "E02", "E06", "E08", "E11", "E15", "E16",
+                       "E17"]
 
 
-def test_config_disables_fast_forward():
-    machine = build_machine(fast_forward=False)
-    assert not machine.core(0).fast_forward_enabled
-    assert build_machine().core(0).fast_forward_enabled
+@pytest.mark.parametrize("experiment_id", STEPPED_EXPERIMENTS)
+def test_quick_json_identical_under_naive_stepping(experiment_id,
+                                                   quick_results):
+    with naive_stepping():
+        naive = get_experiment(experiment_id).run(quick=True).to_json()
+    assert quick_results[experiment_id].to_json() == naive

@@ -138,6 +138,31 @@ def test_invalid_config_rejected():
         build_machine(hw_threads_per_core=0)
     with pytest.raises(ConfigError):
         build_machine(security_model="voodoo")
+    # fast-forward is always on and the zero-cost directory is a test
+    # oracle: neither is a machine config value
+    with pytest.raises(ConfigError, match="fast_forward"):
+        build_machine(fast_forward=False)
+    with pytest.raises(ConfigError, match="coherence"):
+        build_machine(coherence="null")
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(cores=2.5),
+    dict(cores=True),
+    dict(hw_threads_per_core="4"),
+    dict(hw_threads_per_core=2.0),
+    dict(smt_width=True),
+    dict(smt_width=2.0),
+    dict(rf_bytes=65536.0),
+    dict(memory_bytes=0),
+    dict(memory_bytes=False),
+], ids=lambda overrides: "-".join(f"{key}-{value}"
+                                  for key, value in overrides.items()))
+def test_bad_config_fails_at_construction(overrides):
+    # each of these used to build (and run) or fail deep inside
+    # construction or the first alloc; the error names the field
+    with pytest.raises(ConfigError, match=next(iter(overrides))):
+        build_machine(**overrides)
 
 
 def test_thread_priority_validation():

@@ -38,9 +38,6 @@ class TestRunInstrumented:
                     == json.dumps(parallel.snapshots[experiment_id],
                                   sort_keys=True))
 
-    def test_tracers_merge_worker_counters(self, serial, parallel):
-        assert serial.tracer.counters == parallel.tracer.counters
-
     def test_cluster_sources_land_in_snapshot(self, serial):
         counters = serial.snapshots["E14"]["metrics"]["counters"]
         for prefix in ("cluster.service", "cluster.node",

@@ -3,19 +3,16 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments import all_experiments
 from repro.experiments.parallel import run_parallel
 from repro.sim.engine import HeapEngine, WheelEngine
 
 
 @pytest.fixture(scope="module")
-def quick_runs():
-    """Every quick experiment, run serially and by four workers. Made
-    once: the engine has one store, so the result cannot depend on the
-    case below that reads it."""
-    serial = [experiment.run(quick=True)
-              for experiment in all_experiments()]
-    return serial, run_parallel(quick=True, workers=4)
+def quick_runs(quick_results):
+    """Every quick experiment, run serially (the shared session run)
+    and by four workers. Made once: the engine has one store, so the
+    result cannot depend on the case below that reads it."""
+    return list(quick_results.values()), run_parallel(quick=True, workers=4)
 
 
 # the ids name the two compat engine classes perfbench/ imports; both

@@ -6,12 +6,14 @@ state, same retirement counts, same busy-cycle accounting, same final
 clock -- with and without the busy-cycle fast-forward stacked on top.
 These tests run the same workload decoded and under the naive
 fetch-and-dispatch oracle in ``tests/naive_reference.py`` (crossed
-with ``fast_forward`` where the interplay matters) and diff everything
-except ``events`` (batching fused runs legitimately drops engine
-events, exactly like the fast-forward). A traced machine, which runs
-its chains unfused, must also emit the oracle's trace record for
-record.
+with naive stepping, the fast-forward's oracle, where the interplay
+matters) and diff everything except ``events`` (batching fused runs
+legitimately drops engine events, exactly like the fast-forward). A
+traced machine, which runs its chains unfused, must also emit the
+oracle's trace record for record.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -19,7 +21,7 @@ from repro import build_machine
 from repro.errors import ConfigError
 from repro.experiments import get_experiment
 from repro.machine import MachineConfig
-from tests.naive_reference import naive_interpreter
+from tests.naive_reference import naive_interpreter, naive_stepping
 
 
 def _strip_events(stats):
@@ -59,7 +61,7 @@ def _run_contended(fast_forward: bool = True, trace: bool = False):
     """Contended SMT with fusable ALU runs, a DMA-woken monitor sleeper,
     and a faulting thread -- the full decoded-dispatch surface."""
     machine = build_machine(cores=1, hw_threads_per_core=8, smt_width=2,
-                            fast_forward=fast_forward, trace=trace)
+                            trace=trace)
     box = machine.alloc("box", 64)
     edp = machine.alloc("edp", 256)
     for ptid in range(4):
@@ -95,8 +97,9 @@ def _run_contended(fast_forward: bool = True, trace: bool = False):
     """, supervisor=True, edp=edp.base)
     machine.boot(5)
     machine.dma.write_word(box.base, 42)
-    machine.run()
-    machine.run(until=machine.engine.now + 100)
+    with nullcontext() if fast_forward else naive_stepping():
+        machine.run()
+        machine.run(until=machine.engine.now + 100)
     return machine
 
 
@@ -254,9 +257,8 @@ ISA_EXPERIMENTS = ["E01", "E02", "E06", "E08", "E11", "E15", "E17"]
 
 
 @pytest.mark.parametrize("experiment_id", ISA_EXPERIMENTS)
-def test_quick_json_identical_under_the_oracle(experiment_id):
-    experiment = get_experiment(experiment_id)
-    decoded = experiment.run(quick=True).to_json()
+def test_quick_json_identical_under_the_oracle(experiment_id,
+                                               quick_results):
     with naive_interpreter():
-        naive = experiment.run(quick=True).to_json()
-    assert decoded == naive
+        naive = get_experiment(experiment_id).run(quick=True).to_json()
+    assert quick_results[experiment_id].to_json() == naive

@@ -135,12 +135,6 @@ class TestTracer:
         tracer.emit("drop", "b")
         assert [e.category for e in tracer.events] == ["keep"]
 
-    def test_counters_always_live(self):
-        tracer = Tracer(enabled=False)
-        tracer.count("polls", 5)
-        tracer.count("polls")
-        assert tracer.counters["polls"] == 6
-
     def test_limit_drops(self):
         tracer = Tracer(enabled=True, limit=2)
         for i in range(5):
@@ -154,7 +148,7 @@ class TestTracer:
         tracer.emit("b", "2")
         assert len(tracer.filter("a")) == 1
         tracer.clear()
-        assert tracer.events == [] and not tracer.counters
+        assert tracer.events == []
 
 
 class TestRngStreams:

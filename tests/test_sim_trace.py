@@ -41,12 +41,6 @@ class TestTracer:
         assert len(tracer.events) == 2
         assert tracer.dropped == 3
 
-    def test_counters_always_live(self):
-        tracer = make_tracer(enabled=False)
-        tracer.count("wasted", 10)
-        tracer.count("wasted", 5)
-        assert tracer.counters["wasted"] == 15
-
     def test_filter_by_category(self):
         tracer = make_tracer(enabled=True)
         tracer.emit("a", "1")
@@ -58,11 +52,9 @@ class TestTracer:
         tracer = make_tracer(enabled=True, limit=1)
         tracer.emit("a", "1")
         tracer.emit("a", "2")
-        tracer.count("x")
         tracer.clear()
         assert tracer.events == []
         assert tracer.dropped == 0
-        assert not tracer.counters
 
     def test_dump_truncates(self):
         tracer = make_tracer(enabled=True)
@@ -86,60 +78,6 @@ class TestTracer:
         assert len(tracer.events) == 2
         assert tracer.dropped == 2
         assert len(tracer.events) + tracer.dropped == 4
-
-
-class TestMerge:
-    def test_counters_add(self):
-        a = make_tracer()
-        b = make_tracer()
-        a.count("wasted", 10)
-        b.count("wasted", 5)
-        b.count("other", 1)
-        a.merge(b)
-        assert a.counters["wasted"] == 15
-        assert a.counters["other"] == 1
-
-    def test_events_append_in_order(self):
-        a = make_tracer(enabled=True)
-        b = make_tracer(enabled=True)
-        a.emit("x", "a1")
-        b.emit("x", "b1")
-        b.emit("x", "b2")
-        a.merge(b)
-        assert [e.message for e in a.events] == ["a1", "b1", "b2"]
-
-    def test_overflow_counts_into_dropped(self):
-        a = make_tracer(enabled=True, limit=3)
-        b = make_tracer(enabled=True)
-        a.emit("x", "a1")
-        a.emit("x", "a2")
-        for i in range(4):
-            b.emit("x", f"b{i}")
-        a.merge(b)
-        assert len(a.events) == 3
-        assert a.events[-1].message == "b0"
-        assert a.dropped == 3
-        # invariant survives the merge: 2 + 4 emits total
-        assert len(a.events) + a.dropped == 6
-
-    def test_other_tracers_dropped_carries_over(self):
-        a = make_tracer(enabled=True)
-        b = make_tracer(enabled=True, limit=1)
-        b.emit("x", "kept")
-        b.emit("x", "lost")
-        a.merge(b)
-        assert a.dropped == 1
-        assert len(a.events) == 1
-
-    def test_merge_into_full_tracer_drops_everything(self):
-        a = make_tracer(enabled=True, limit=1)
-        b = make_tracer(enabled=True)
-        a.emit("x", "only")
-        b.emit("x", "b1")
-        b.emit("x", "b2")
-        a.merge(b)
-        assert [e.message for e in a.events] == ["only"]
-        assert a.dropped == 2
 
 
 class TestMachineTracing:

@@ -3,8 +3,8 @@
 Watches are line-granular (64 B), so distinct addresses alias onto one
 watch iff they share a line -- including addresses that land on
 opposite sides of a line boundary. The properties below hold with the
-flat bus and with every coherence model, which is itself a property
-worth pinning: the directory defers delivery but never changes *who*
+flat bus, the zero-cost directory and the priced one, which is itself
+a property worth pinning: the directory defers delivery but never changes *who*
 wakes.
 """
 
@@ -15,6 +15,7 @@ from repro.arch.costs import CostModel
 from repro.coherence import DirectoryModel
 from repro.mem.watch import LINE_BYTES, WatchBus
 from repro.sim.engine import Engine
+from tests.null_directory import null_directory
 
 COSTS = CostModel()
 MODELS = st.sampled_from(["off", "null", "directory"])
@@ -23,9 +24,10 @@ ADDRS = st.integers(min_value=0, max_value=64 * LINE_BYTES - 1)
 
 def _bus(model: str, engine=None):
     bus = WatchBus()
-    if model != "off":
-        bus.coherence = DirectoryModel.from_name(model, COSTS,
-                                                 engine=engine)
+    if model == "null":
+        bus.coherence = null_directory(engine)
+    elif model == "directory":
+        bus.coherence = DirectoryModel(COSTS, engine)
     return bus
 
 
