@@ -21,15 +21,14 @@ def timed_cluster_run(run_fn, repeats: int = 3) -> dict:
     """Best-of-N wall-clock of one ``run_cluster`` workload, with the
     dispatched-event count turned into events/sec. Sharded runs count
     every engine: coordinator plus the shard workers' events
-    (``service.pdes['worker_events']``)."""
+    (``result.pdes['worker_events']``)."""
     best = None
     for _ in range(repeats):
         start = time.perf_counter()
         result = run_fn()
         elapsed = time.perf_counter() - start
         events = (result.engine.events_processed
-                  + getattr(result.service, "pdes", {}).get(
-                      "worker_events", 0))
+                  + result.pdes.get("worker_events", 0))
         if best is None or elapsed < best[0]:
             best = (elapsed, events)
     seconds, events = best

@@ -539,10 +539,16 @@ def cluster_markdown() -> str:
         "`shards=N` partitions the nodes over `N` worker engines",
         "(node `i` on shard `i % N`) and runs them as",
         "a conservative parallel discrete-event simulation",
-        "(`repro.cluster.pdes`). The client -- balancer, fabric,",
-        "front-end, workload -- stays on the coordinator engine and",
-        "talks to per-node proxies; requests cross to workers as",
-        "timestamped messages over pipes.",
+        "(`repro.cluster.pdes`). The client stays on the coordinator",
+        "engine, and it is the single-engine client: the same",
+        "`ClusterService`, `Fabric`, balancer and workload, over one",
+        "proxy per remote node. A proxy is a `ClusterNode` whose server",
+        "is its shard worker: it admits or sheds each attempt by the",
+        "worker's verdict and finishes it at the worker's completion",
+        "time, so the client's fabric draws both wires on its own",
+        "per-link streams. Requests cross to the workers as timestamped",
+        "messages over pipes; a worker sends back only `(node, attempt)`",
+        "rejections and `(time, node, attempt)` completions.",
         "",
         "Safety comes from *lookahead*: every client->node message",
         "pays at least the link's base latency on the wire",
@@ -565,16 +571,18 @@ def cluster_markdown() -> str:
         "Sharding is *invisible in the results*: every shard replays",
         "exactly the RNG draws its nodes and links would have made on",
         "the shared engine (per-directed-link streams), so the",
-        "summary, the latency quantiles, and the obs snapshot are",
-        "byte-identical to `shards=1` -- `tests/test_pdes.py` pins",
-        "this down, and a mirror cross-check audits every run. Worker",
-        "transports (`run_cluster(transport=...)`): `process` (real",
-        "worker processes, the default) and `inline` (same-process",
-        "debug mode); a worker that dies mid-run raises a",
-        "`SimulationError` naming its shard, pid and exit code.",
-        "`run_sharded` reports the protocol audit in",
-        "`result.service.pdes` (windows, lookahead, minimum observed",
-        "slack, worker events, transport, shards).",
+        "summary, the latency quantiles, the obs snapshot and the span",
+        "payload are byte-identical to `shards=1` --",
+        "`tests/test_pdes.py` pins this down, and a cross-check of",
+        "every proxy's counters against its worker's audits every run.",
+        "Worker transports (`run_cluster(transport=...)`): `process`",
+        "(real worker processes, the default) and `inline`",
+        "(same-process debug mode); both pass every command through",
+        "one handler, `ShardWorker.serve`. A worker that dies mid-run",
+        "raises a `SimulationError` naming its shard, pid and exit",
+        "code. `run_sharded` reports the protocol audit in",
+        "`result.pdes` (windows, lookahead, minimum observed slack,",
+        "worker events, transport, shards); it is empty on one engine.",
         "",
         "## CLI",
         "",

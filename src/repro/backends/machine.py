@@ -148,10 +148,7 @@ class MachineBackend:
     def __init__(self, engine: Engine, design: ServerDesign,
                  costs: Optional[CostModel] = None,
                  resident_threads: Optional[int] = None,
-                 slots: int = DEFAULT_SLOTS,
                  coherence: Optional[str] = None):
-        if slots < 1:
-            raise ConfigError(f"need at least one slot, got {slots}")
         if resident_threads is not None and resident_threads < 0:
             raise ConfigError(
                 f"resident_threads must be >= 0, got {resident_threads}")
@@ -166,8 +163,8 @@ class MachineBackend:
         #: distributed-tracing sink (a SpanStore); set by the cluster
         #: node when request tracing is active, else stays None
         self.span_sink = None
-        if design.name == "event-loop":
-            slots = 1           # single-threaded by definition
+        # the event loop is single-threaded by definition
+        slots = 1 if design.name == "event-loop" else DEFAULT_SLOTS
         self.machine = Machine(
             MachineConfig(cores=1, hw_threads_per_core=slots, smt_width=1,
                           costs=self.costs, coherence=coherence),

@@ -17,8 +17,8 @@ stream (named :class:`~repro.sim.rng.RngStreams` streams in a cluster
 run, so the run is reproducible). Per-link streams make the draw
 sequence of a link depend only on the traffic crossing *that* link --
 the property the parallel-in-time sharded runtime
-(:mod:`repro.cluster.pdes`) needs so a worker process can reproduce its
-links' draws without seeing any other shard's traffic.
+(:mod:`repro.cluster.pdes`) needs so its engine-less generation pass
+can replay the request links' draws ahead of the responses.
 """
 
 from __future__ import annotations
@@ -47,9 +47,10 @@ class LinkSpec:
     drop_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_cycles < 1:
+        base = self.base_cycles
+        if isinstance(base, bool) or not isinstance(base, int) or base < 1:
             raise ConfigError(
-                f"base latency must be >= 1 cycle, got {self.base_cycles}")
+                f"base_cycles must be an integer >= 1, got {base!r}")
         if self.jitter_mean_cycles < 0:
             raise ConfigError(
                 f"jitter mean must be >= 0, got {self.jitter_mean_cycles}")
@@ -116,8 +117,8 @@ class Fabric:
     def send_traced(self, src: str, dst: str,
                     fn: Callable[..., Any], *args: Any) -> Optional[int]:
         """Like :meth:`send`, but returns the absolute delivery time
-        (``None`` when dropped) -- the sharded runtime needs the
-        timestamp to ship the message cross-process."""
+        (``None`` when dropped), for callers that report when a
+        message lands (the remote stores of the coherence layer)."""
         self.sent += 1
         spec = self.link
         rng = self._streams.get((src, dst)) or self.rng_for(src, dst)

@@ -15,6 +15,11 @@ adds what the cluster layer needs on top:
   ``tests/test_property_invariants.py`` asserts under random schedules;
 - a per-node metric namespace (``cluster.node{N}.*``) and a busy/idle
   timeline track when an obs session is active.
+
+A sharded run (:mod:`repro.cluster.pdes`) puts a ``ClusterNode`` on
+both sides of the process boundary: the shard worker's node runs the
+server, and the client's proxy is a ``ClusterNode`` whose ``server`` is
+that worker, so both sides keep these counters by the same code.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.arch.costs import CostModel
-from repro.backends import create_backend
+from repro.backends import ServerBackend, create_backend
 from repro.distributed.rpc import ServerDesign
 from repro.errors import ConfigError
 from repro.obs.timeline import ThreadState
@@ -37,7 +42,8 @@ class ClusterNode:
                  queue_limit: Optional[int] = None,
                  resident_threads: Optional[int] = None,
                  backend: str = "model", register_obs: bool = True,
-                 coherence: Optional[str] = None):
+                 coherence: Optional[str] = None,
+                 server: Optional[ServerBackend] = None):
         if node_id < 0:
             raise ConfigError(f"node id must be >= 0, got {node_id}")
         if queue_limit is not None and queue_limit < 1:
@@ -46,11 +52,12 @@ class ClusterNode:
         self.engine = engine
         self.node_id = node_id
         self.name = f"node{node_id}"
+        self.design = design
         self.queue_limit = queue_limit
-        self.backend_name = backend
         # a datacenter node keeps a thread-per-connection worker pool
-        # resident; the caller sizes it to the node's fan-in
-        self.server = create_backend(
+        # resident; the caller sizes it to the node's fan-in. A PDES
+        # proxy passes the server it stands for instead.
+        self.server = server if server is not None else create_backend(
             backend, engine, design, costs=costs,
             resident_threads=resident_threads, coherence=coherence)
         self.admitted = 0
@@ -59,9 +66,9 @@ class ClusterNode:
         self._in_flight = 0
         # observability: a per-node metric namespace and a busy/idle
         # timeline track, only when a session is active. A PDES shard
-        # worker passes register_obs=False: its nodes are mirrored by
-        # client-side proxies which own the obs registration, so a
-        # sharded snapshot carries exactly the single-engine namespaces.
+        # worker passes register_obs=False: the client-side proxy of
+        # each of its nodes owns the obs registration, so a sharded
+        # snapshot carries exactly the single-engine namespaces.
         self._obs_timeline = None
         self._obs_track = 0
         import repro.obs as obs
@@ -75,17 +82,14 @@ class ClusterNode:
         # distributed tracing: node-side span fragments (admission,
         # completion, and -- via the backend's sink -- demand). Unlike
         # register_obs this is NOT suppressed in PDES shard workers:
-        # fragments are recorded where the node lives and shipped home.
+        # fragments are recorded where the node lives and shipped home
+        # (the client-side proxies are built with tracing off).
         import repro.obs.spans as spans
         self._spans = spans.active()
         if self._spans is not None:
             self.server.span_sink = self._spans
 
     # ------------------------------------------------------------------
-    @property
-    def design(self) -> ServerDesign:
-        return self.server.design
-
     def in_flight(self) -> int:
         """Requests admitted but not finished (the balancer's load signal)."""
         return self._in_flight

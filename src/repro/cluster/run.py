@@ -14,7 +14,7 @@ process -- the property the parallel evaluation runner relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Sequence
 
 from repro.arch.costs import CostModel
@@ -86,11 +86,12 @@ class ClusterConfig:
                 f"one up by name with get_design() (known designs: "
                 f"{', '.join(DESIGNS)})")
         for name in ("nodes", "requests", "fanout", "segments",
-                     "threads_per_peer", "shards"):
+                     "threads_per_peer", "shards", "rtt_cycles",
+                     "probe_delay_cycles"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(
-                    f"{name} must be an integer count, got {value!r}")
+                    f"{name} must be an integer, got {value!r}")
         if not isinstance(self.link, LinkSpec):
             raise ConfigError(
                 f"link must be a LinkSpec, e.g. LinkSpec(drop_prob=0.01), "
@@ -210,12 +211,18 @@ class ClusterConfig:
 
 @dataclass
 class ClusterRunResult:
-    """A finished run: the live objects plus the headline numbers."""
+    """A finished run: the live objects plus the headline numbers.
+
+    ``pdes`` holds a sharded run's protocol diagnostics (lookahead,
+    windows, minimum observed slack, worker events, transport, shards);
+    it is empty for a run on one engine.
+    """
 
     config: ClusterConfig
     engine: Engine
     service: ClusterService
     summary: Dict[str, Any]
+    pdes: Dict[str, Any] = field(default_factory=dict)
 
 
 def request_lookahead(config: ClusterConfig) -> int:
@@ -226,29 +233,35 @@ def request_lookahead(config: ClusterConfig) -> int:
     return config.link.base_cycles
 
 
+def make_node(config: ClusterConfig, engine: Engine, node_id: int,
+              costs: CostModel, register_obs: bool = True) -> ClusterNode:
+    """Node ``node_id`` of the cluster (one engine's, or a PDES shard
+    worker's)."""
+    # fan-in scales with the cluster: every peer keeps
+    # threads_per_peer worker connections resident on each node
+    resident = (config.threads_per_peer * config.nodes
+                if config.threads_per_peer > 0 else None)
+    return ClusterNode(engine, node_id, config.design, costs,
+                       queue_limit=config.queue_limit,
+                       resident_threads=resident, backend=config.backend,
+                       register_obs=register_obs,
+                       coherence=(None if config.coherence == "off"
+                                  else config.coherence))
+
+
 def build_cluster(config: ClusterConfig, streams: RngStreams,
                   engine: Optional[Engine] = None,
                   costs: Optional[CostModel] = None) -> ClusterService:
     """Assemble nodes + balancer + fabric + front-end on one engine."""
     engine = engine or Engine()
     costs = costs or CostModel()
-    # fan-in scales with the cluster: every peer keeps
-    # threads_per_peer worker connections resident on each node
-    resident = (config.threads_per_peer * config.nodes
-                if config.threads_per_peer > 0 else None)
-    coherence = None if config.coherence == "off" else config.coherence
-    nodes = [ClusterNode(engine, node_id, config.design, costs,
-                         queue_limit=config.queue_limit,
-                         resident_threads=resident,
-                         backend=config.backend,
-                         coherence=coherence)
+    nodes = [make_node(config, engine, node_id, costs)
              for node_id in range(config.nodes)]
     return build_front_end(config, streams, engine, nodes)
 
 
 def build_front_end(config: ClusterConfig, streams: RngStreams,
-                    engine: Engine, nodes: Sequence,
-                    service_class: type = ClusterService) -> ClusterService:
+                    engine: Engine, nodes: Sequence) -> ClusterService:
     """Balancer, fabric and front-end over ``nodes`` (the cluster's own
     nodes, or the client-side proxies of a sharded run)."""
     label = config.workload_label()
@@ -257,16 +270,16 @@ def build_front_end(config: ClusterConfig, streams: RngStreams,
                             probe_delay_cycles=config.probe_delay_cycles,
                             engine=engine)
     # per-directed-link streams: a link's draw sequence depends only on
-    # the traffic crossing that link, which is what lets a PDES shard
-    # worker reproduce its own links without seeing the others
+    # the traffic crossing that link, which is what lets the PDES
+    # generation pass replay the request links ahead of the responses
     fabric = Fabric(
         engine,
         lambda link: streams.stream(f"{label}.net.{link}"),
         link=config.link)
-    return service_class(engine, nodes, balancer, fabric,
-                         fanout=config.fanout, segments=config.segments,
-                         rtt_cycles=config.rtt_cycles,
-                         hedge_after=config.hedge_after)
+    return ClusterService(engine, nodes, balancer, fabric,
+                          fanout=config.fanout, segments=config.segments,
+                          rtt_cycles=config.rtt_cycles,
+                          hedge_after=config.hedge_after)
 
 
 def drive_workload(service: ClusterService, config: ClusterConfig,

@@ -28,6 +28,12 @@ A cluster request is *dropped* only when some shard is dead: all its
 attempts failed (wire drop or rejection) and no hedge remains to
 revive it. Responses that arrive for an already-settled request are
 counted (``late_responses``) but change nothing.
+
+This is the only front-end: a sharded run
+(:mod:`repro.cluster.pdes`) drives the same class and fabric over
+proxy nodes whose admission verdicts and completions come from the
+shard workers, so both wires, the admission accounting and the
+conservation audit are this module's code on either path.
 """
 
 from __future__ import annotations
@@ -43,6 +49,12 @@ from repro.errors import ConfigError
 from repro.sim.engine import Engine
 
 CLIENT = "client"
+
+
+def segment_split(cycles: float, segments: int) -> List[float]:
+    """One shard's service draw as ``segments`` equal compute segments
+    (at least one cycle in all): the request a node is offered."""
+    return [max(1.0, cycles) / segments] * segments
 
 
 @dataclass
@@ -161,19 +173,12 @@ class ClusterService:
         # the sharded runtime relies on this to name attempts
         # identically on both sides of a process boundary
         self._next_shard_req += 1
+        attempt_id = self._next_shard_req
         if self._spans is not None:
             self._spans.attempt_launch(
-                state.request_id, shard_index, self._next_shard_req,
+                state.request_id, shard_index, attempt_id,
                 node.name, self.engine.now,
                 hedged=len(shard.tried) > 1)
-        self._send_request(state, shard_index, cycles, node,
-                           self._next_shard_req)
-
-    def _send_request(self, state: _RequestState, shard_index: int,
-                      cycles: float, node: ClusterNode,
-                      attempt_id: int) -> None:
-        """Carry one shard attempt to its node (the transport seam the
-        parallel-in-time runtime overrides)."""
         delivered = self.fabric.send(CLIENT, node.name, self._arrive,
                                      state, shard_index, cycles, node,
                                      attempt_id)
@@ -188,9 +193,9 @@ class ClusterService:
     def _arrive(self, state: _RequestState, shard_index: int,
                 cycles: float, node: ClusterNode, attempt_id: int) -> None:
         self.requests_on_wire -= 1
-        per_segment = [max(1.0, cycles) / self.segments] * self.segments
         accepted = node.offer(
-            attempt_id, per_segment, self.rtt_cycles,
+            attempt_id, segment_split(cycles, self.segments),
+            self.rtt_cycles,
             on_done=lambda: self._node_finished(state, shard_index, node,
                                                 attempt_id))
         if not accepted:

@@ -228,7 +228,7 @@ def run(quick: bool = False, seed: int = 0xC0FFEE) -> ExperimentResult:
                                  transport="process")
         summary = run_result.summary
         stats = run_result.service.recorder.summary()
-        pdes = getattr(run_result.service, "pdes", {})
+        pdes = run_result.pdes
         fingerprint = (json.dumps(summary, sort_keys=True),
                        stats.p50, stats.p99)
         if baseline is None:

@@ -7,8 +7,6 @@ A deliberately small simpy-like kernel:
 - :class:`~repro.sim.process.Process` -- generator-based coroutines; a
   process yields :class:`Timeout`, :class:`Signal`, another ``Process``
   (join), or combinators (:class:`AnyOf` / :class:`AllOf`).
-- :class:`~repro.sim.channel.Channel` -- buffered message passing between
-  processes.
 - :class:`~repro.sim.clock.Clock` -- cycle/nanosecond conversion at a
   configurable frequency.
 - :class:`~repro.sim.trace.Tracer` -- structured event tracing.
@@ -19,7 +17,6 @@ harness runs on a single shared ``Engine`` so hardware device models and
 behavioral kernel models stay mutually consistent in time.
 """
 
-from repro.sim.channel import Channel
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine
 from repro.sim.process import AllOf, AnyOf, Process, Signal, Timeout
@@ -29,7 +26,6 @@ from repro.sim.trace import TraceEvent, Tracer
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Channel",
     "Clock",
     "Engine",
     "Process",

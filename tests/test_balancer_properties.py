@@ -5,12 +5,14 @@ node loads changed and simulated time advanced between picks, and
 ``exclude`` empty, partial or covering every node. After every pick
 the balancer must return the reference's node and leave its rng in the
 reference's state -- for every policy, with exact loads and with stale
-probe snapshots. The programs route over PDES proxy nodes, whose load
-is set directly. Exact jsq reads each node's count through a field
-rather than ``in_flight()``, so ``ClusterNode`` and the proxy are both
-checked to expose the same value there.
+probe snapshots. The programs route over PDES proxy nodes, which have
+no server: the test loads them by offering attempts and unloads them by
+finishing those attempts. Exact jsq reads each node's count through a
+field rather than ``in_flight()``, so ``ClusterNode`` and the proxy are
+both checked to expose the same value there.
 """
 
+from itertools import count
 from random import Random
 
 from hypothesis import given, settings
@@ -54,13 +56,17 @@ def test_pick_matches_reference(program):
     slow = lb_reference.LoadBalancer(nodes, policy, rng=Random(seed),
                                      probe_delay_cycles=probe_delay,
                                      engine=engine)
+    attempts = count()
+    admitted = [[] for _ in nodes]
     for advance, changes, excluded in steps:
         engine.run(until=engine.now + advance)
         for i, delta in changes:
             for _ in range(delta):
-                nodes[i].mirror_admit()
+                attempt = next(attempts)
+                assert nodes[i].offer(attempt, [], 0)
+                admitted[i].append(attempt)
             for _ in range(min(-delta, nodes[i].in_flight())):
-                nodes[i].mirror_finish()
+                nodes[i].finish(admitted[i].pop())
         exclude = (tuple(nodes) if excluded == "all"
                    else tuple(nodes[i] for i in excluded))
         assert fast.pick(exclude) is slow.pick(exclude)
@@ -74,10 +80,10 @@ def test_jsq_load_field_is_in_flight():
     proxy = _ProxyNode(engine, 1, SW_THREADS)
     for request_id in range(3):
         node.offer(request_id, [50_000.0], 10)
-        proxy.mirror_admit()
+        proxy.offer(request_id, [50_000.0], 10)
         assert _IN_FLIGHT(node) == node.in_flight() == request_id + 1
         assert _IN_FLIGHT(proxy) == proxy.in_flight() == request_id + 1
-    proxy.mirror_finish()
+    proxy.finish(0)
     engine.run_until_idle()
     assert _IN_FLIGHT(node) == node.in_flight() == 0
     assert _IN_FLIGHT(proxy) == proxy.in_flight() == 2

@@ -33,6 +33,9 @@ class TestLinkSpec:
             LinkSpec(jitter_mean_cycles=-1.0)
         with pytest.raises(ConfigError):
             LinkSpec(drop_prob=1.0)
+        for base in ("10", True, 1500.5):
+            with pytest.raises(ConfigError, match="base_cycles"):
+                LinkSpec(base_cycles=base)
 
     def test_sample_delay_at_least_one_cycle(self):
         spec = LinkSpec(base_cycles=1, jitter_mean_cycles=0.0)
@@ -271,6 +274,12 @@ class TestClusterConfig:
         dict(threads_per_peer=4.0),
         dict(shards=1.5),
         dict(rtt_cycles=-5),
+        dict(rtt_cycles="10"),
+        dict(rtt_cycles=True),
+        dict(rtt_cycles=1500.5),
+        dict(probe_delay_cycles="10"),
+        dict(probe_delay_cycles=True),
+        dict(probe_delay_cycles=1500.5),
         dict(policy="fastest"),
         dict(hedge_after=0),
         dict(queue_limit=0),

@@ -34,6 +34,7 @@ from repro.cluster.fabric import LinkSpec
 from repro.cluster.pdes import ShardWorker, shard_node_ids
 from repro.distributed.rpc import SW_THREADS
 from repro.errors import ConfigError, SimulationError
+from repro.sim.engine import Engine
 
 
 def _link(drop_prob: float = 0.0) -> LinkSpec:
@@ -125,7 +126,7 @@ class TestByteIdentity:
         sharded, observed = self._observed(scaled(config, shards=4),
                                            transport="inline")
         assert observed == expected
-        assert sharded.service.pdes["shards"] == 4
+        assert sharded.pdes["shards"] == 4
         # the case exercised what it names
         service = single.service
         if case and case.startswith("lossy"):
@@ -148,7 +149,7 @@ class TestByteIdentity:
         with pytest.raises(ConfigError, match="shards >= 2"):
             run_sharded(_config(policy="jsq"))
         result = run_cluster(_config(shards=2), seed=3, transport="inline")
-        assert set(result.service.pdes) == {
+        assert set(result.pdes) == {
             "lookahead", "windows", "min_slack", "worker_events",
             "transport", "shards"}
 
@@ -171,7 +172,23 @@ class TestByteIdentity:
         procs = run_cluster(scaled(config, shards=2), seed=9,
                             transport="process")
         assert _fingerprint(procs) == _fingerprint(single)
-        assert procs.service.pdes["transport"] == "process"
+        assert procs.pdes["transport"] == "process"
+
+    def test_process_transport_sheds_and_drops(self):
+        """Admission rejections and both kinds of wire drop cross a real
+        pipe too: over worker processes, a bounded cluster on lossy
+        links reports the single engine's summary, obs snapshot and
+        span payload."""
+        config = _config(queue_limit=3, link=_link(drop_prob=0.05))
+        _single, expected = self._observed(config)
+        sharded, observed = self._observed(scaled(config, shards=2),
+                                           transport="process")
+        assert observed == expected
+        assert sharded.pdes["transport"] == "process"
+        service = sharded.service
+        assert service.rejected > 0
+        assert service.request_wire_drops > 0
+        assert service.response_wire_drops > 0
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +196,7 @@ class TestCausality:
     """The conservative protocol's safety net."""
 
     def _worker(self) -> ShardWorker:
-        return ShardWorker(_config(), seed=1, node_ids=[0, 4])
+        return ShardWorker(_config(), node_ids=[0, 4])
 
     def test_inject_into_committed_past_raises(self):
         worker = self._worker()
@@ -197,9 +214,11 @@ class TestCausality:
         worker = self._worker()
         worker.advance(10_000)
         worker.inject([(9_000, 10_001, 1, 0, 5_000.0)])
-        rejects, resps, drops, _events = worker.advance(200_000)
-        assert rejects == [] and drops == []
-        assert len(resps) == 1
+        shed, done, _events = worker.advance(200_000)
+        assert shed == []
+        [(finished_at, node_id, attempt_id)] = done
+        assert (node_id, attempt_id) == (0, 1)
+        assert finished_at > 10_001
 
     @given(nodes=st.integers(min_value=2, max_value=8),
            shards=st.integers(min_value=2, max_value=4),
@@ -221,7 +240,7 @@ class TestCausality:
                          link=LinkSpec(base_cycles=base,
                                        jitter_mean_cycles=base / 4))
         result = run_cluster(config, seed=seed, transport="inline")
-        pdes = result.service.pdes
+        pdes = result.pdes
         assert pdes["lookahead"] == request_lookahead(config)
         assert pdes["lookahead"] == base
         if pdes["min_slack"] is not None:
@@ -231,8 +250,35 @@ class TestCausality:
         """The audit trail actually observed traffic (not vacuous)."""
         result = run_cluster(_config(shards=2), seed=2,
                              transport="inline")
-        assert result.service.pdes["min_slack"] is not None
-        assert result.service.pdes["windows"] >= 1
+        assert result.pdes["min_slack"] is not None
+        assert result.pdes["windows"] >= 1
+
+
+class TestProxyNode:
+    """The client-side proxy takes its verdicts and completions from the
+    worker, and the end-of-run cross-check holds it to the worker's
+    counts."""
+
+    def test_verdicts_and_completions(self):
+        proxy = pdes._ProxyNode(Engine(), 3, SW_THREADS)
+        proxy.shed.add(1)
+        assert not proxy.offer(1, [1.0], 0)
+        finished = []
+        assert proxy.offer(2, [1.0], 0, on_done=lambda: finished.append(2))
+        assert (proxy.admitted, proxy.rejected, proxy.in_flight()) == (1, 1, 1)
+        proxy.finish(2)
+        assert finished == [2] and proxy.conserved()
+        for attempt in (1, 2, 3):  # shed, already finished, never offered
+            with pytest.raises(SimulationError, match="never admitted"):
+                proxy.finish(attempt)
+
+    def test_final_stats_cross_check(self):
+        proxy = pdes._ProxyNode(Engine(), 0, SW_THREADS)
+        assert proxy.offer(1, [1.0], 0)
+        with pytest.raises(SimulationError, match="diverged for node0"):
+            pdes._fold_final_stats([proxy], [{0: (1, 1, 0, 0, 500)}])
+        pdes._fold_final_stats([proxy], [{0: (1, 0, 0, 1, 500)}])
+        assert proxy.busy_cycles() == 500
 
 
 class TestWorkerLoss:
@@ -244,23 +290,22 @@ class TestWorkerLoss:
     def test_killed_worker_raises_simulation_error(self, monkeypatch):
         started = []
         real_init = pdes._ProcessShard.__init__
-        real_advance = pdes._ProcessShard.post_advance
+        real_send = pdes._ProcessShard.send
 
         def init(shard, *args, **kwargs):
             real_init(shard, *args, **kwargs)
             started.append(shard)
 
-        def post_advance(shard, until):
+        def send(shard, msg):
             # SIGKILL worker 0 before it is asked to advance at all
             victim = started[0].proc
-            if victim.is_alive():
+            if msg[0] == "advance" and victim.is_alive():
                 os.kill(victim.pid, signal.SIGKILL)
                 victim.join(timeout=10)
-            real_advance(shard, until)
+            real_send(shard, msg)
 
         monkeypatch.setattr(pdes._ProcessShard, "__init__", init)
-        monkeypatch.setattr(pdes._ProcessShard, "post_advance",
-                            post_advance)
+        monkeypatch.setattr(pdes._ProcessShard, "send", send)
         begin = time.monotonic()
         with pytest.raises(SimulationError,
                            match=r"shard 0 worker \(pid \d+\).*exit code -9"):

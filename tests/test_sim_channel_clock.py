@@ -1,79 +1,9 @@
-"""Unit tests for Channel, Clock, Tracer, and RngStreams."""
+"""Unit tests for Clock, Tracer, and RngStreams."""
 
 import pytest
 
-from repro.errors import ConfigError, SimulationError
-from repro.sim import Channel, Clock, Engine, RngStreams, Tracer
-
-
-class TestChannel:
-    def test_put_then_try_get(self):
-        chan = Channel("q")
-        chan.put("a")
-        assert chan.try_get() == "a"
-        assert chan.try_get() is None
-
-    def test_fifo_order(self):
-        chan = Channel()
-        for i in range(5):
-            chan.put(i)
-        assert [chan.try_get() for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_capacity_drops_and_counts(self):
-        chan = Channel(capacity=2)
-        assert chan.put(1)
-        assert chan.put(2)
-        assert not chan.put(3)
-        assert chan.dropped == 1
-        assert len(chan) == 2
-
-    def test_blocking_get_wakes_on_put(self):
-        engine = Engine()
-        chan = Channel("rx")
-        got = []
-
-        def consumer():
-            item = yield from chan.get()
-            got.append((engine.now, item))
-
-        engine.spawn(consumer())
-        engine.after(40, chan.put, "pkt")
-        engine.run()
-        assert got == [(40, "pkt")]
-
-    def test_get_returns_immediately_when_nonempty(self):
-        engine = Engine()
-        chan = Channel()
-        chan.put("x")
-        got = []
-
-        def consumer():
-            item = yield from chan.get()
-            got.append((engine.now, item))
-
-        engine.spawn(consumer())
-        engine.run()
-        assert got == [(0, "x")]
-
-    def test_high_watermark(self):
-        chan = Channel()
-        for i in range(7):
-            chan.put(i)
-        chan.try_get()
-        chan.put(99)
-        assert chan.high_watermark == 7
-
-    def test_peek_empty_raises(self):
-        with pytest.raises(SimulationError):
-            Channel().peek()
-
-    def test_stats_counters(self):
-        chan = Channel()
-        chan.put(1)
-        chan.put(2)
-        chan.try_get()
-        assert chan.total_put == 2
-        assert chan.total_got == 1
+from repro.errors import ConfigError
+from repro.sim import Clock, Engine, RngStreams, Tracer
 
 
 class TestClock:
