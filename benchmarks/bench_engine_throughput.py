@@ -10,7 +10,7 @@ trajectory to compare against:
 - ``core``: simulated cycles/sec of an SMT core grinding through
   ``work`` bursts, with the busy-cycle fast-forward as shipped and
   under the naive-stepping oracle (``tests/naive_reference.py``);
-- ``evaluation``: end-to-end wall-clock of the full and quick E01-E17
+- ``evaluation``: end-to-end wall-clock of the full and quick E01-E18
   evaluations (serial, in-process);
 - ``watch_cancel``: arm/cancel churn on a dense watch bus (the O(1)
   per-line watcher sets; a list regression would show here first);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Run the full paper evaluation (E01-E16) and print every table.
+"""Run the full paper evaluation (E01-E18) and print every table.
 
 This is the programmatic twin of ``pytest benchmarks/ --benchmark-only``.
 With ``--markdown`` it emits the per-experiment sections EXPERIMENTS.md

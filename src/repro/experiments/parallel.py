@@ -1,4 +1,4 @@
-"""Parallel experiment runner: fan E01-E16 across worker processes.
+"""Parallel experiment runner: fan E01-E18 across worker processes.
 
 Every experiment builds its own :class:`~repro.machine.Machine` (or raw
 :class:`~repro.sim.engine.Engine`) from a fixed seed and shares no
@@ -9,10 +9,11 @@ as pickled :class:`~repro.analysis.report.ExperimentResult` objects in
 experiment-id order, so callers cannot tell (other than by the clock)
 which runner produced them.
 
-The unit of distribution is the whole experiment. Sweep cells inside an
-experiment are also independent, but splitting them would move the
-aggregation (tables, claims) across process boundaries for little gain:
-the three slowest experiments already land on distinct workers.
+The unit of distribution is the whole experiment, so the slowest one
+sets the wall clock: E14 alone is more than half of the full
+evaluation's serial time. Sweep cells inside an experiment are also
+independent, but splitting them would move the aggregation (tables,
+claims) across process boundaries.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ notifies the bus; device models never poke memory behind its back.
   context-switch pollution modeling.
 - :mod:`repro.mem.dma` -- DMA engine with bandwidth/latency modeling.
 - :mod:`repro.mem.mmio` -- memory-mapped device registers (doorbells).
-- :mod:`repro.mem.tlb` -- TLB with the same warm/pin hooks as the
-  caches, for the translation half of wakeup thrashing.
+- :mod:`repro.mem.tlb` -- the TLB, a cache of pages, for the
+  translation half of wakeup thrashing.
 """
 
 from repro.mem.cache import Cache, CacheHierarchy

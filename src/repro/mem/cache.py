@@ -7,7 +7,8 @@ on-chip. The model is a conventional set-associative LRU simulator with
 per-level hit latencies taken from :class:`~repro.arch.costs.CostModel`.
 
 This is an access-timing model only -- data values live in
-:class:`~repro.mem.memory.Memory`; the cache tracks presence.
+:class:`~repro.mem.memory.Memory`; the cache tracks presence. The TLB
+(:class:`~repro.mem.tlb.Tlb`) is a :class:`Cache` whose lines are pages.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class Cache:
     def access(self, addr: int) -> int:
         """Touch ``addr``; returns total load-to-use cycles."""
         line = addr // self.line_bytes
-        ways = self._sets[line % self.sets]
+        index = line % self.sets
+        ways = self._sets[index]
         if line in ways:
             self.hits += 1
             del ways[line]
@@ -60,19 +62,7 @@ class Cache:
         self.misses += 1
         parent = self.parent
         below = parent.access(addr) if parent is not None else self.miss_cycles
-        # fill, inlined from _fill: this runs once per miss at every level
-        if len(ways) >= self.ways:
-            pinned = self._pinned
-            if not pinned or pinned.isdisjoint(ways):
-                victim = next(iter(ways))
-            else:
-                victim = next((l for l in ways if l not in pinned), None)
-                if victim is None:
-                    self.bypasses += 1  # set fully pinned: do not allocate
-                    return self.hit_cycles + below
-            del ways[victim]
-            self.evictions += 1
-        ways[line] = True
+        self._fill(index, line)
         return self.hit_cycles + below
 
     def contains(self, addr: int) -> bool:
@@ -85,9 +75,7 @@ class Cache:
         Models the paper's "prefetching techniques that warm up caches
         of all types as soon as threads become runnable".
         """
-        line0 = base // self.line_bytes
-        line1 = (base + max(nbytes - 1, 0)) // self.line_bytes
-        for line in range(line0, line1 + 1):
+        for line in self._lines(base, nbytes):
             index = line % self.sets
             ways = self._sets[index]
             if line in ways:
@@ -108,18 +96,12 @@ class Cache:
         without loss of associativity [66]". A set whose ways are all
         pinned bypasses new fills rather than losing pinned lines.
         """
-        line0 = base // self.line_bytes
-        line1 = (base + max(nbytes - 1, 0)) // self.line_bytes
-        for line in range(line0, line1 + 1):
-            self._pinned.add(line)
+        self._pinned.update(self._lines(base, nbytes))
         self.warm(base, nbytes)
 
     def unpin(self, base: int, nbytes: int) -> None:
         """Release a pinned range (lines stay cached, become evictable)."""
-        line0 = base // self.line_bytes
-        line1 = (base + max(nbytes - 1, 0)) // self.line_bytes
-        for line in range(line0, line1 + 1):
-            self._pinned.discard(line)
+        self._pinned.difference_update(self._lines(base, nbytes))
 
     def flush(self) -> None:
         """Drop every line except pinned ones (they are unevictable)."""
@@ -132,24 +114,99 @@ class Cache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
+    def walk_working_set(self, base: int, nbytes: int, stride: int = 64) -> int:
+        """Touch ``nbytes`` from ``base`` every ``stride`` bytes through
+        this cache and its parents; returns total cycles.
+
+        The basic tool for measuring pollution: run a working set, switch
+        to another, return, and compare cycles.
+
+        A pass whose stride is every level's line size, over lines that
+        no level holds or pins, misses every line at every level, so it
+        is computed per set (:meth:`_stream`) instead of line by line:
+        E13's 32 MiB interference streams are such passes. Every other
+        pass is one :meth:`access` per address.
+        """
+        for name, value, least in (("stride", stride, 1),
+                                   ("nbytes", nbytes, 0)):
+            if (isinstance(value, bool) or not isinstance(value, int)
+                    or value < least):
+                raise ConfigError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
+        levels = [self]
+        while levels[-1].parent is not None:
+            levels.append(levels[-1].parent)
+        first = base // stride
+        count = len(range(base, base + nbytes, stride))
+        if (all(cache.line_bytes == stride for cache in levels)
+                and not any(cache._holds(first, first + count)
+                            for cache in levels)):
+            for cache in levels:
+                cache._stream(first, count)
+            return count * (sum(cache.hit_cycles for cache in levels)
+                            + levels[-1].miss_cycles)
+        total = 0
+        for addr in range(base, base + nbytes, stride):
+            total += self.access(addr)
+        return total
+
     # ------------------------------------------------------------------
+    def _lines(self, base: int, nbytes: int) -> range:
+        """The lines of ``[base, base + nbytes)``, at least ``base``'s."""
+        return range(base // self.line_bytes,
+                     (base + max(nbytes - 1, 0)) // self.line_bytes + 1)
+
+    def _holds(self, first: int, end: int) -> bool:
+        """Whether any line in ``[first, end)`` is resident or pinned."""
+        if any(first <= line < end for line in self._pinned):
+            return True
+        sets, nsets = self._sets, self.sets
+        # a resident line in range sits in the set of one of the first
+        # ``nsets`` lines of the range
+        return any(first <= held < end
+                   for line in range(first, min(end, first + nsets))
+                   for held in sets[line % nsets])
+
+    def _stream(self, first: int, count: int) -> None:
+        """Miss lines ``first .. first + count - 1``, none resident or
+        pinned here, as ``count`` calls of :meth:`access` would.
+
+        In each set the pinned lines stay, and the newest ``ways -
+        pinned`` of (the unpinned lines in LRU order, then the set's new
+        lines) survive; the overflow is evicted, oldest first. A set
+        whose ways are all pinned bypasses every new line.
+        """
+        end = first + count
+        pinned = self._pinned
+        self.misses += count
+        for line in range(first, min(end, first + self.sets)):
+            ways = self._sets[line % self.sets]
+            new = range(line, end, self.sets)
+            unpinned = [held for held in ways if held not in pinned]
+            if len(ways) - len(unpinned) == self.ways:
+                self.bypasses += len(new)
+                continue
+            overflow = max(len(ways) + len(new) - self.ways, 0)
+            self.evictions += overflow
+            for victim in unpinned[:overflow]:
+                del ways[victim]
+            ways.update(dict.fromkeys(
+                new[max(overflow - len(unpinned), 0):], True))
+
     def _fill(self, index: int, line: int) -> None:
         ways = self._sets[index]
         if len(ways) >= self.ways:
-            pinned = self._pinned
-            if not pinned or pinned.isdisjoint(ways):
-                victim = next(iter(ways))
-            else:
-                victim = next((l for l in ways if l not in pinned), None)
-                if victim is None:
-                    self.bypasses += 1  # set fully pinned: do not allocate
-                    return
+            victim = next((l for l in ways if l not in self._pinned), None)
+            if victim is None:
+                self.bypasses += 1  # set fully pinned: do not allocate
+                return
             del ways[victim]
             self.evictions += 1
         ways[line] = True
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Cache {self.name} {self.size_bytes >> 10}KiB hit_rate={self.hit_rate:.2f}>"
+        return (f"<{type(self).__name__} {self.name} "
+                f"{self.size_bytes >> 10}KiB hit_rate={self.hit_rate:.2f}>")
 
 
 class CacheHierarchy:
@@ -217,68 +274,6 @@ class CacheHierarchy:
                          round(cache.hit_rate, 6))
 
     def walk_working_set(self, base: int, nbytes: int, stride: int = 64) -> int:
-        """Touch a working set sequentially; returns total cycles.
-
-        The basic tool for measuring pollution: run a working set, switch
-        to another, return, and compare cycles.
-
-        This is the pollution experiments' inner loop (millions of
-        accesses per sweep cell), so the three levels are walked in one
-        flat pass with per-level state in locals instead of recursive
-        :meth:`Cache.access` calls -- same lookups, same fills, same
-        counters, a fraction of the interpreter overhead.
-        """
-        l1, l2, l3 = self.l1, self.l2, self.l3
-        line_bytes = l1.line_bytes
-        if l2.line_bytes != line_bytes or l3.line_bytes != line_bytes:
-            # unequal line sizes can't share one line index; generic path
-            total = 0
-            for addr in range(base, base + nbytes, stride):
-                total += l1.access(addr)
-            return total
-        levels = []
-        for cache in (l1, l2, l3):
-            levels.append((cache._sets, cache.sets, cache.ways,
-                           cache._pinned, cache.hit_cycles))
-        dram = l3.miss_cycles
-        hits = [0, 0, 0]
-        misses = [0, 0, 0]
-        evictions = [0, 0, 0]
-        bypasses = [0, 0, 0]
-        total = 0
-        for addr in range(base, base + nbytes, stride):
-            line = addr // line_bytes
-            for k in (0, 1, 2):
-                sets, nsets, nways, pinned, hit_cycles = levels[k]
-                ways = sets[line % nsets]
-                total += hit_cycles
-                if line in ways:
-                    hits[k] += 1
-                    del ways[line]
-                    ways[line] = True
-                    break
-                misses[k] += 1
-                if len(ways) >= nways:
-                    if not pinned or pinned.isdisjoint(ways):
-                        del ways[next(iter(ways))]
-                        evictions[k] += 1
-                        ways[line] = True
-                    else:
-                        victim = next(
-                            (l for l in ways if l not in pinned), None)
-                        if victim is None:
-                            bypasses[k] += 1  # fully pinned set
-                        else:
-                            del ways[victim]
-                            evictions[k] += 1
-                            ways[line] = True
-                else:
-                    ways[line] = True
-            else:
-                total += dram  # missed every level
-        for k, cache in enumerate((l1, l2, l3)):
-            cache.hits += hits[k]
-            cache.misses += misses[k]
-            cache.evictions += evictions[k]
-            cache.bypasses += bypasses[k]
-        return total
+        """Touch a working set sequentially from L1; returns total cycles
+        (see :meth:`Cache.walk_working_set`)."""
+        return self.l1.walk_working_set(base, nbytes, stride)

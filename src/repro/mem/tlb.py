@@ -6,121 +6,30 @@ even thrashing as numerous hardware threads start and stop", and the
 prefetch mitigation covers "caches of all types", translations
 included ("the most critical instructions/data/translations").
 
-The model is a set-associative LRU translation cache over fixed-size
-pages with a fixed walk cost on miss, plus the same ``warm``/``pin``
-hooks as :class:`~repro.mem.cache.Cache` so E13-style policies apply.
+The TLB is a :class:`~repro.mem.cache.Cache` whose lines are fixed-size
+pages and whose miss cost is a fixed page-table walk, so it has the
+caches' ``warm``/``pin``/``flush`` hooks and E13-style policies apply.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List
-
-from repro.errors import ConfigError
+from repro.mem.cache import Cache
 
 PAGE_BYTES = 4096
 
 
-class Tlb:
-    """Set-associative LRU TLB."""
+class Tlb(Cache):
+    """Set-associative LRU TLB of ``entries`` pages."""
 
     def __init__(self, name: str = "dtlb", entries: int = 64, ways: int = 4,
                  page_bytes: int = PAGE_BYTES,
                  hit_cycles: int = 1, walk_cycles: int = 100):
-        if entries <= 0 or ways <= 0 or entries % ways != 0:
-            raise ConfigError(
-                f"{name!r}: {entries} entries not divisible into {ways} ways")
-        if page_bytes <= 0:
-            raise ConfigError("page size must be positive")
-        self.name = name
+        super().__init__(name, entries * page_bytes, ways=ways,
+                         line_bytes=page_bytes, hit_cycles=hit_cycles,
+                         miss_cycles=walk_cycles)
         self.entries = entries
-        self.ways = ways
-        self.page_bytes = page_bytes
-        self.sets = entries // ways
-        self.hit_cycles = hit_cycles
-        self.walk_cycles = walk_cycles
-        self._sets: List[OrderedDict] = [OrderedDict()
-                                         for _ in range(self.sets)]
-        self._pinned: set = set()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.bypasses = 0
 
-    # ------------------------------------------------------------------
-    def translate(self, addr: int) -> int:
-        """Translate ``addr``; returns cycles (hit or hit+walk)."""
-        page = addr // self.page_bytes
-        index = page % self.sets
-        ways = self._sets[index]
-        if page in ways:
-            self.hits += 1
-            ways.move_to_end(page)
-            return self.hit_cycles
-        self.misses += 1
-        self._fill(index, page)
-        return self.hit_cycles + self.walk_cycles
-
-    def contains(self, addr: int) -> bool:
-        page = addr // self.page_bytes
-        return page in self._sets[page % self.sets]
-
-    def warm(self, base: int, nbytes: int) -> None:
-        """Preload translations for an address range (prefetch-on-wake)."""
-        page0 = base // self.page_bytes
-        page1 = (base + max(nbytes - 1, 0)) // self.page_bytes
-        for page in range(page0, page1 + 1):
-            index = page % self.sets
-            ways = self._sets[index]
-            if page in ways:
-                ways.move_to_end(page)
-            else:
-                self._fill(index, page)
-
-    def pin(self, base: int, nbytes: int) -> None:
-        """Pin translations (fine-grain partitioning for the TLB)."""
-        page0 = base // self.page_bytes
-        page1 = (base + max(nbytes - 1, 0)) // self.page_bytes
-        for page in range(page0, page1 + 1):
-            self._pinned.add(page)
-        self.warm(base, nbytes)
-
-    def unpin(self, base: int, nbytes: int) -> None:
-        page0 = base // self.page_bytes
-        page1 = (base + max(nbytes - 1, 0)) // self.page_bytes
-        for page in range(page0, page1 + 1):
-            self._pinned.discard(page)
-
-    def flush(self) -> None:
-        """Drop all unpinned translations (a context-switch TLB flush)."""
-        for ways in self._sets:
-            for page in [p for p in ways if p not in self._pinned]:
-                del ways[page]
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def walk_working_set(self, base: int, nbytes: int,
-                         stride: int = 64) -> int:
-        """Translate a working set sequentially; returns total cycles."""
-        total = 0
-        for addr in range(base, base + nbytes, stride):
-            total += self.translate(addr)
-        return total
-
-    # ------------------------------------------------------------------
-    def _fill(self, index: int, page: int) -> None:
-        ways = self._sets[index]
-        if len(ways) >= self.ways:
-            victim = next((p for p in ways if p not in self._pinned), None)
-            if victim is None:
-                self.bypasses += 1
-                return
-            del ways[victim]
-            self.evictions += 1
-        ways[page] = True
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Tlb {self.name} {self.entries}e hit_rate={self.hit_rate:.2f}>"
+    #: translate ``addr``; returns cycles (hit, or hit plus walk)
+    translate = Cache.access
+    page_bytes = property(lambda self: self.line_bytes)
+    walk_cycles = property(lambda self: self.miss_cycles)

@@ -98,6 +98,27 @@ class TestHierarchy:
         assert hier.l1.misses == 2
 
 
+class TestWalkValidation:
+    @pytest.mark.parametrize("stride", [0, -64, True, 1.5, "64"])
+    def test_bad_stride_rejected(self, stride):
+        hier = CacheHierarchy()
+        with pytest.raises(ConfigError, match="stride"):
+            hier.walk_working_set(0, 4096, stride)
+        assert hier.l1.misses == 0
+
+    @pytest.mark.parametrize("nbytes", [-4096, True, 4096.0, None])
+    def test_bad_nbytes_rejected(self, nbytes):
+        hier = CacheHierarchy()
+        with pytest.raises(ConfigError, match="nbytes"):
+            hier.walk_working_set(0, nbytes)
+        assert hier.l1.misses == 0
+
+    def test_empty_walk_costs_nothing(self):
+        hier = CacheHierarchy()
+        assert hier.walk_working_set(0x1000, 0) == 0
+        assert hier.l1.misses == 0
+
+
 class TestDma:
     def test_transfer_lands_after_latency_and_bandwidth(self):
         engine = Engine()

@@ -105,3 +105,17 @@ class TestValidation:
     def test_bad_page_size(self):
         with pytest.raises(ConfigError):
             Tlb(page_bytes=0)
+
+    @pytest.mark.parametrize("stride", [0, -64, True, 1.5, "64"])
+    def test_bad_walk_stride(self, stride):
+        tlb = Tlb()
+        with pytest.raises(ConfigError, match="stride"):
+            tlb.walk_working_set(0, PAGE_BYTES, stride)
+        assert tlb.misses == 0
+
+    @pytest.mark.parametrize("nbytes", [-PAGE_BYTES, True, 4096.0, None])
+    def test_bad_walk_nbytes(self, nbytes):
+        tlb = Tlb()
+        with pytest.raises(ConfigError, match="nbytes"):
+            tlb.walk_working_set(0, nbytes)
+        assert tlb.misses == 0
