@@ -9,7 +9,19 @@ Wall-clock entries are informational; only events/sec is gated, since
 it is the one metric that tracks the engine hot path rather than the
 container's mood. The engine-event count of each single-engine cluster
 run is deterministic, so it is gated exactly: a speed-up that drops or
-merges simulated events fails here whatever the timing says.
+merges simulated events fails here whatever the timing says. Those
+counts move only through a declared re-baseline: the change that moves
+them edits them in ``BENCH_cluster.json`` and lists old -> new in
+CHANGES.md.
+
+The instrumentation, request-tracing and coherence-hook A/Bs run fresh
+and interleaved in this process; no committed number is read. Their
+gated ``disabled`` figure is an A/A noise bound: the disabled pass runs
+the same code as its reference, so the gate shows that the A/B resolves
+``OVERHEAD_BUDGET_PCT`` on this host, which the ``enabled`` (opt-in)
+figure printed beside it relies on. It is not a regression check on
+the disabled guards: what they cost shows only against a build without
+them.
 
 Run:  PYTHONPATH=src python benchmarks/bench_smoke.py
 """
@@ -22,6 +34,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 TOLERANCE_PCT = 25.0
+
+#: How far a disabled pass may read below its identical reference pass.
+OVERHEAD_BUDGET_PCT = 3.0
+
+#: Fresh A/Bs per overhead gate before it fails.
+OVERHEAD_ATTEMPTS = 4
 
 
 def check(label: str, baseline: int, measured: int, failures: list) -> None:
@@ -40,6 +58,30 @@ def check_exact(label: str, committed: int, fresh: int,
           f"fresh {fresh:>13,}  (exact)     {status}")
     if fresh != committed:
         failures.append(label)
+
+
+def check_overhead(label: str, measure, failures: list) -> None:
+    """Gate a fresh interleaved A/A noise bound: the ``disabled`` pass
+    runs the same code as its reference, so the gap between them is
+    measurement noise, and it must stay within the budget for the
+    ``enabled`` figure beside it to be readable. A hook doing work
+    outside its disabled guard slows both passes alike and does not
+    show here. One attempt's wall-clock wobble on a shared container
+    can exceed the budget, so the gate passes on the first of
+    ``OVERHEAD_ATTEMPTS`` A/Bs that stays within it."""
+    for attempt in range(OVERHEAD_ATTEMPTS):
+        ab = measure()
+        if ab["disabled_overhead_pct"] <= OVERHEAD_BUDGET_PCT:
+            break
+    ok = ab["disabled_overhead_pct"] <= OVERHEAD_BUDGET_PCT
+    print(f"{label + '[disabled]':42s} overhead "
+          f"{ab['disabled_overhead_pct']:6.2f}%  budget "
+          f"{OVERHEAD_BUDGET_PCT:6.2f}%  (attempt {attempt + 1})  "
+          f"{'ok' if ok else 'TOO NOISY'}")
+    print(f"{label + '[enabled]':42s} overhead "
+          f"{ab['enabled_overhead_pct']:6.2f}%  (informational)")
+    if not ok:
+        failures.append(f"{label}[disabled]")
 
 
 def main() -> int:
@@ -67,25 +109,12 @@ def main() -> int:
         check_exact(f"{section}.cluster_run.events", committed["events"],
                     fresh["events"], failures)
 
-    # tracing A/B (fresh, interleaved in this process): span hooks must
-    # stay free when tracing is off -- the disabled pass runs the exact
-    # same untraced code as the reference, so a *consistent* gap is a
-    # real regression (a hook doing work outside its ``store is None``
-    # guard). One attempt's wall-clock wobble on a shared container is
-    # larger than the 3% budget, so the gate retries: noise does not
-    # survive four independent A/Bs, a real regression shows in all
-    for attempt in range(4):
-        ab = e16_spans.tracing_ab()
-        if ab["disabled_overhead_pct"] <= 3.0:
-            break
-    status = "ok" if ab["disabled_overhead_pct"] <= 3.0 else "REGRESSED"
-    print(f"{'e16.tracing[disabled]':42s} overhead "
-          f"{ab['disabled_overhead_pct']:6.2f}%  budget   3.00%  "
-          f"(attempt {attempt + 1})  {status}")
-    print(f"{'e16.tracing[enabled]':42s} overhead "
-          f"{ab['enabled_overhead_pct']:6.2f}%  (informational)")
-    if ab["disabled_overhead_pct"] > 3.0:
-        failures.append("e16.tracing[disabled]")
+    # request tracing: untraced vs untraced noise bound, traced cost
+    check_overhead("e16.tracing", e16_spans.tracing_ab, failures)
+
+    # instrumentation: instrument=False vs itself, instrument=True cost
+    from benchmarks.bench_engine_throughput import bench_instrumentation
+    check_overhead("instrumentation", bench_instrumentation, failures)
 
     # watch-bus cancel churn: the O(1) per-line watcher sets, gated
     # against the committed baseline like any events/sec figure
@@ -96,21 +125,8 @@ def main() -> int:
           engine_base["watch_cancel"]["cancels_per_sec"],
           fresh_cancel["cancels_per_sec"], failures)
 
-    # coherence hook A/B: coherence=None (the default everywhere) must
-    # cost nothing on the store hot path -- same retry discipline as
-    # the tracing gate above
-    for attempt in range(4):
-        coh = coherence_ab()
-        if coh["disabled_overhead_pct"] <= 3.0:
-            break
-    status = "ok" if coh["disabled_overhead_pct"] <= 3.0 else "REGRESSED"
-    print(f"{'coherence[disabled]':42s} overhead "
-          f"{coh['disabled_overhead_pct']:6.2f}%  budget   3.00%  "
-          f"(attempt {attempt + 1})  {status}")
-    print(f"{'coherence[enabled]':42s} overhead "
-          f"{coh['enabled_overhead_pct']:6.2f}%  (informational)")
-    if coh["disabled_overhead_pct"] > 3.0:
-        failures.append("coherence[disabled]")
+    # coherence hook: coherence=None vs itself, directory model cost
+    check_overhead("coherence", coherence_ab, failures)
 
     # PDES shard scaling (process transport, default store): the same
     # sweep cell at 1/2/4 shard workers, each gated independently

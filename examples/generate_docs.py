@@ -260,11 +260,13 @@ def observability_markdown() -> str:
         "Instrumentation is **off by default and nearly free when off**:",
         "the core has one issue loop, whose profiler calls each sit",
         "behind an attribute-is-None check, and everything else guards",
-        "on one such check too. `BENCH_engine.json` records the measured",
-        "disabled-mode overhead (`instrumentation.disabled_overhead_pct`,",
-        "gated <3% in CI). Instrumentation only observes: an instrumented",
-        "machine runs exactly the uninstrumented simulation, engine",
-        "events included (`tests/test_fastforward_equivalence.py`), and",
+        "on one such check too. CI's `benchmarks/bench_smoke.py` times",
+        "`instrument=False` against itself as a fresh <3% noise bound for",
+        "the opt-in cost it prints beside it; what the checks themselves",
+        "cost shows only against a build without them. Instrumentation",
+        "only observes: an instrumented machine runs exactly the",
+        "uninstrumented simulation, engine events included",
+        "(`tests/test_fastforward_equivalence.py`), and",
         "CI `cmp`s the quick evaluation with and without `--metrics`.",
         "",
         "Turn it on per machine with `build_machine(instrument=True)`,",
@@ -727,7 +729,7 @@ def engine_markdown() -> str:
         "with deterministic `(time, insertion-seq)` dispatch order.",
         "The public surface is `at`/`after` (each returning an opaque",
         "handle), `cancel(handle)`, `run`/`run_until_idle`/`step`, and",
-        "`next_event_time`.",
+        "`next_event_time`/`due_now`.",
         "",
         "## One binary heap",
         "",
@@ -781,6 +783,22 @@ def engine_markdown() -> str:
         "external deadline for another core's batch, which is what lets",
         "multi-machine clusters of ISA backends fast-forward at all",
         "(docs/backends.md, E15).",
+        "",
+        "## Inline starts",
+        "",
+        "An event scheduled at `now` runs after every event already due",
+        "at `now` and before anything later. When `due_now()` is False no",
+        "live event is due at `now`, so such an event would be the very",
+        "next dispatch, and calling its callback directly instead gives",
+        "the same order with one event fewer -- provided nothing else",
+        "runs between the call and the engine's next dispatch.",
+        "`RpcServerModel.submit` starts a request this way: it checks",
+        "`due_now()` (a comparison of each lane's head with `now`; the",
+        "lane is scanned past cancelled entries only on a tie) and",
+        "schedules the kick-off at `now` only when another event is due.",
+        "Its callers call it last (`RpcWorkload` schedules the next",
+        "arrival first). `tests/test_rpc_order_oracle.py` checks the",
+        "dispatch order against the always-scheduled kick-off.",
         "",
         "## Cancellation-free completions",
         "",

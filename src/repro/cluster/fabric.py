@@ -128,8 +128,9 @@ class Fabric:
         delay = spec.sample_delay(rng)
         self.latency_cycles += delay
         self.in_flight += 1
-        due = self.engine._now + delay
-        self.engine.at(due, self._deliver, fn, args)
+        engine = self.engine
+        due = engine._now + delay
+        engine.at(due, self._deliver, fn, args)
         return due
 
     def _deliver(self, fn: Callable[..., Any], args: Tuple[Any, ...]) -> None:

@@ -24,6 +24,7 @@ that worker, so both sides keep these counters by the same code.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.arch.costs import CostModel
@@ -116,9 +117,8 @@ class ClusterNode:
             self._obs_timeline.transition(self._obs_track, 0,
                                           ThreadState.RUNNING,
                                           self.engine.now)
-        self.server.submit(request_id, list(segment_cycles), rtt_cycles,
-                           on_done=lambda: self._finished(request_id,
-                                                          on_done))
+        self.server.submit(request_id, segment_cycles, rtt_cycles,
+                           partial(self._finished, request_id, on_done))
         return True
 
     def _finished(self, request_id: int,

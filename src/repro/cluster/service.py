@@ -39,6 +39,7 @@ conservation audit are this module's code on either path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import LatencyRecorder
@@ -46,7 +47,7 @@ from repro.cluster.balancer import LoadBalancer
 from repro.cluster.fabric import Fabric
 from repro.cluster.node import ClusterNode
 from repro.errors import ConfigError
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Event
 
 CLIENT = "client"
 
@@ -63,7 +64,7 @@ class _ShardState:
 
     done: bool = False
     outstanding: int = 0          # attempts on the wire or in a node
-    hedge_pending: bool = False   # a hedge timer that may still revive us
+    hedge: Optional[Event] = None  # a hedge timer that may still revive us
     tried: Tuple[ClusterNode, ...] = ()
 
 
@@ -155,9 +156,9 @@ class ClusterService:
             shard = _ShardState()
             state.shards.append(shard)
             if self.hedge_after is not None:
-                shard.hedge_pending = True
-                self.engine.after(self.hedge_after, self._hedge,
-                                  state, shard_index, cycles)
+                shard.hedge = self.engine.after(self.hedge_after,
+                                                self._hedge, state,
+                                                shard_index, cycles)
             self._launch(state, shard_index, cycles)
 
     # ------------------------------------------------------------------
@@ -179,10 +180,10 @@ class ClusterService:
                 state.request_id, shard_index, attempt_id,
                 node.name, self.engine.now,
                 hedged=len(shard.tried) > 1)
-        delivered = self.fabric.send(CLIENT, node.name, self._arrive,
-                                     state, shard_index, cycles, node,
-                                     attempt_id)
-        if delivered:
+        due = self.fabric.send_traced(CLIENT, node.name, self._arrive,
+                                      state, shard_index, cycles, node,
+                                      attempt_id)
+        if due is not None:
             self.requests_on_wire += 1
         else:
             self.request_wire_drops += 1
@@ -196,17 +197,17 @@ class ClusterService:
         accepted = node.offer(
             attempt_id, segment_split(cycles, self.segments),
             self.rtt_cycles,
-            on_done=lambda: self._node_finished(state, shard_index, node,
-                                                attempt_id))
+            partial(self._node_finished, state, shard_index, node,
+                    attempt_id))
         if not accepted:
             self.rejected += 1
             self._attempt_failed(state, shard_index)
 
     def _node_finished(self, state: _RequestState, shard_index: int,
                        node: ClusterNode, attempt_id: int) -> None:
-        delivered = self.fabric.send(node.name, CLIENT, self._response,
-                                     state, shard_index, attempt_id)
-        if delivered:
+        due = self.fabric.send_traced(node.name, CLIENT, self._response,
+                                      state, shard_index, attempt_id)
+        if due is not None:
             self.responses_on_wire += 1
         else:
             self.response_wire_drops += 1
@@ -226,6 +227,11 @@ class ClusterService:
                 self._spans.attempt_late(attempt_id, self.engine.now)
             return
         shard.done = True
+        if shard.hedge is not None:
+            # a done shard's hedge would be a no-op: nothing reads the
+            # timer once the shard is done
+            self.engine.cancel(shard.hedge)
+            shard.hedge = None
         self.shards_completed += 1
         state.remaining -= 1
         if self._spans is not None:
@@ -252,7 +258,7 @@ class ClusterService:
         shard.outstanding -= 1
         if state.settled or shard.done:
             return
-        if shard.outstanding == 0 and not shard.hedge_pending:
+        if shard.outstanding == 0 and shard.hedge is None:
             # the shard is dead and nothing can revive it
             state.settled = True
             self.dropped += 1
@@ -264,7 +270,7 @@ class ClusterService:
     def _hedge(self, state: _RequestState, shard_index: int,
                cycles: float) -> None:
         shard = state.shards[shard_index]
-        shard.hedge_pending = False
+        shard.hedge = None
         if state.settled or shard.done:
             return
         self.hedges_sent += 1

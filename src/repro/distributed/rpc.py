@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:
     # type-only: importing the module at runtime invites accidental use
@@ -48,7 +48,6 @@ from repro.kernel.sched import (
 )
 from repro.sim.engine import Engine
 from repro.workloads.arrivals import ArrivalProcess
-from repro.workloads.requests import Request
 from repro.workloads.service import ServiceDistribution
 
 
@@ -111,18 +110,21 @@ EVENT_LOOP = ServerDesign("event-loop", "fifo")
 class _InflightRequest:
     """One request's segment walk as a callback chain.
 
-    Stands in for the ``done`` signal the queueing server fires on
-    segment completion (it only needs a :meth:`fire` method), so a
-    request costs no generator coroutine, no waiter bookkeeping, and
-    schedules exactly the engine events the coroutine it replaced did:
-    one kick-off at arrival and one RTT timeout between segments.
+    The queueing server takes each segment as bare cycles
+    (``offer_segment``) and calls :meth:`segment_done` when it
+    completes, so a segment costs no :class:`Request` record, no
+    payload and no copy of the segment list. Between segments the
+    request holds one RTT timer; that is the only engine event it
+    schedules itself. The kick-off is a call, not an event, unless
+    another event is due at the arrival cycle
+    (:meth:`RpcServerModel.submit`).
     """
 
     __slots__ = ("model", "req_id", "segments", "rtt", "on_done",
                  "arrived", "index")
 
     def __init__(self, model: "RpcServerModel", req_id: int,
-                 segments: list, rtt: int,
+                 segments: Sequence[float], rtt: int,
                  on_done: Optional[Callable[[], None]]):
         self.model = model
         self.req_id = req_id
@@ -146,20 +148,17 @@ class _InflightRequest:
         # requests are resident *now*, not at arrival
         overhead = model.segment_overhead_cycles()
         seg = int(round(self.segments[self.index]))
-        demand = (seg if seg > 1 else 1) + overhead
+        if seg < 1:
+            seg = 1
         if model.span_sink is not None:
             # per segment, because the crowd-scaled overhead is re-read
             # each time: the trace carries the exact tax this segment
             # will pay, not the arrival-time estimate
-            model.span_sink.node_demand(self.req_id,
-                                        seg if seg > 1 else 1,
-                                        overhead, 0)
-        model._seg_counter += 1
-        model.cpu.offer(Request(model._seg_counter, float(model.engine._now),
-                                demand, None, None, {"done": self}))
+            model.span_sink.node_demand(self.req_id, seg, overhead, 0)
+        model.cpu.offer_segment(seg + overhead, self)
 
-    def fire(self, _request: Optional[Request] = None) -> None:
-        """Segment done (called by the queueing server's completion)."""
+    def segment_done(self) -> None:
+        """The queueing server finished the current segment now."""
         self.index += 1
         model = self.model
         if self.index < len(self.segments):
@@ -174,6 +173,7 @@ class _InflightRequest:
         model.recorder.record(model.engine._now - self.arrived)
         if self.on_done is not None:
             self.on_done()
+
 
 class RpcServerModel:
     """One server instance executing segmented requests.
@@ -220,29 +220,39 @@ class RpcServerModel:
             self.cpu = FifoServer(engine, name=f"{design.name}.cpu")
         else:
             raise ConfigError(f"unknown discipline {design.discipline!r}")
-        self._seg_counter = 0
         # transition_overhead_cycles is pure in (design, costs, crowd)
         # and both are fixed per model, so memoize per crowd level
         self._overhead_cache: dict = {}
 
     # ------------------------------------------------------------------
-    def submit(self, request_id: int, segment_cycles: list,
+    def submit(self, request_id: int, segment_cycles: Sequence[float],
                rtt_cycles: int,
                on_done: Optional[Callable[[], None]] = None) -> None:
         """A request arrives now with the given CPU segments.
 
         ``on_done`` (if given) is called when the last segment
         completes -- the cluster layer uses it to send the response
-        back over the fabric without polling.
+        back over the fabric without polling. The request keeps
+        ``segment_cycles`` (no copy): do not change it afterwards.
+
+        The kick-off must run after every event already due now, as it
+        would if it were scheduled at ``now``. When no live event is
+        due now (:meth:`Engine.due_now`), that scheduled kick-off would
+        be the very next dispatch, so it runs here instead, saving the
+        event. This holds only if nothing runs between this call
+        returning and the engine's next dispatch: call it last in a
+        callback, and schedule anything else first (as
+        :class:`RpcWorkload` schedules its next arrival).
         """
         if not segment_cycles:
             raise ConfigError("request needs at least one segment")
-        handler = _InflightRequest(self, request_id, list(segment_cycles),
+        handler = _InflightRequest(self, request_id, segment_cycles,
                                    rtt_cycles, on_done)
-        # kick off on the next event boundary at the current time -- the
-        # same interleaving discipline Engine.spawn applied here before
-        # the coroutine-per-request path was retired
-        self.engine.at(self.engine.now, handler.start)
+        engine = self.engine
+        if engine.due_now():
+            engine.at(engine._now, handler.start)
+        else:
+            handler.start()
 
     def segment_overhead_cycles(self) -> int:
         """Per-transition overhead at the *current* crowding level."""
@@ -297,8 +307,9 @@ class RpcWorkload:
             # split one service draw across the segments
             total = max(float(self.segments), self.service.sample(self.rng))
             per_segment = [total / self.segments] * self.segments
-            self.server.submit(self.issued, per_segment, self.rtt_cycles)
+            # schedule the next arrival first: submit must come last
             next_arrival()
+            self.server.submit(self.issued, per_segment, self.rtt_cycles)
 
         next_arrival()
 

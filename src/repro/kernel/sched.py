@@ -36,7 +36,16 @@ from repro.workloads.requests import Request
 
 
 class QueueingServer(abc.ABC):
-    """Common surface: feed requests with :meth:`offer` at arrival time."""
+    """Common surface: feed requests with :meth:`offer` at arrival time.
+
+    The processor-sharing and FIFO servers also take bare *segments*
+    (:meth:`ProcessorSharingServer.offer_segment`,
+    :meth:`FifoServer.offer_segment`): a burst of CPU cycles with an
+    owner whose ``segment_done()`` runs at completion. A segment has no
+    :class:`Request` record and adds no sample to :attr:`recorder`; it
+    is counted in :attr:`completed` and, under an obs session, sampled
+    in the latency histogram like a request.
+    """
 
     def __init__(self, engine: Engine, name: str = "",
                  recorder: Optional[LatencyRecorder] = None):
@@ -96,6 +105,18 @@ class QueueingServer(abc.ABC):
         if done is not None:
             done.fire(request)
 
+    def _release(self, job, offered: Optional[int]) -> None:
+        """``job`` completed now: a :class:`Request` offered whole when
+        ``offered`` is None, else the owner of a segment offered at
+        cycle ``offered``."""
+        if offered is None:
+            self._finish(job)
+            return
+        self.completed += 1
+        if self._obs_latency is not None:
+            self._obs_latency.record(float(self.engine._now) - offered)
+        job.segment_done()
+
 
 def feed_trace(engine: Engine, server: QueueingServer,
                trace: List[Request]) -> None:
@@ -110,13 +131,20 @@ class FifoServer(QueueingServer):
     def __init__(self, engine: Engine, name: str = "",
                  recorder: Optional[LatencyRecorder] = None):
         super().__init__(engine, name, recorder)
-        self._queue: Deque[Request] = deque()
+        # (cycles, job, offered): offered is None for a whole Request
+        self._queue: Deque[Tuple[float, object, Optional[int]]] = deque()
         self._arrival = Signal(f"{self.name}.arrival")
         self._active = 0
         engine.spawn(self._serve(), name=f"{self.name}.server")
 
     def offer(self, request: Request) -> None:
-        self._queue.append(request)
+        self._queue.append((request.service_cycles, request, None))
+        self._arrival.fire()
+
+    def offer_segment(self, cycles: int, owner) -> None:
+        """``cycles`` of CPU work arrive now; ``owner.segment_done()``
+        runs when they complete (see :class:`QueueingServer`)."""
+        self._queue.append((cycles, owner, self.engine._now))
         self._arrival.fire()
 
     def in_flight(self) -> int:
@@ -131,14 +159,15 @@ class FifoServer(QueueingServer):
                 yield self._arrival
             if timeline is not None:
                 self._obs_transition(ThreadState.RUNNING)
-            request = self._queue.popleft()
+            cycles, job, offered = self._queue.popleft()
             self._active = 1
-            request.start_time = float(self.engine.now)
-            service = max(1, int(round(request.service_cycles)))
+            if offered is None:
+                job.start_time = float(self.engine.now)
+            service = max(1, int(round(cycles)))
             yield service
             self.busy_cycles += service
             self._active = 0
-            self._finish(request)
+            self._release(job, offered)
 
 
 class RoundRobinServer(QueueingServer):
@@ -232,21 +261,30 @@ class ProcessorSharingServer(QueueingServer):
         super().__init__(engine, name, recorder)
         self.servers = servers
         self._progress = 0.0  # per-job virtual progress since t=0
-        # (service + progress-at-arrival, arrival seq, request); the seq
-        # both breaks ties deterministically and preserves the finish
-        # order of the old per-job list (insertion order)
-        self._heap: List[Tuple[float, int, Request]] = []
+        # (service + progress-at-arrival, arrival seq, job, offered);
+        # the seq both breaks ties deterministically and preserves the
+        # finish order of the old per-job list (insertion order). job
+        # and offered are what _release takes.
+        self._heap: List[Tuple[float, int, object, Optional[int]]] = []
         self._seq = itertools.count()
         self._last_update = 0
         self._pending_completion: Optional[Event] = None
         self._deadline = 0  # absolute fire time of _pending_completion
 
     def offer(self, request: Request) -> None:
-        self._advance()
         request.start_time = float(self.engine._now)
-        svc = float(request.service_cycles)
+        self._admit(request.service_cycles, request, None)
+
+    def offer_segment(self, cycles: int, owner) -> None:
+        """``cycles`` of CPU work arrive now; ``owner.segment_done()``
+        runs when they complete (see :class:`QueueingServer`)."""
+        self._admit(cycles, owner, self.engine._now)
+
+    def _admit(self, cycles: float, job, offered: Optional[int]) -> None:
+        self._advance()
+        svc = float(cycles)
         key = (svc if svc > 1.0 else 1.0) + self._progress
-        heapq.heappush(self._heap, (key, next(self._seq), request))
+        heapq.heappush(self._heap, (key, next(self._seq), job, offered))
         self._reschedule()
 
     def in_flight(self) -> int:
@@ -302,14 +340,15 @@ class ProcessorSharingServer(QueueingServer):
             heappop = heapq.heappop
             first = heappop(heap)
             if not (heap and heap[0][0] <= threshold):
-                self._finish(first[2])   # the common single-finish fire
+                # the common single-finish fire
+                self._release(first[2], first[3])
             else:
                 finished = [first]
                 while heap and heap[0][0] <= threshold:
                     finished.append(heappop(heap))
                 finished.sort(key=itemgetter(1))  # arrival order
-                for _key, _seq, request in finished:
-                    self._finish(request)
+                for _key, _seq, job, offered in finished:
+                    self._release(job, offered)
         # Nothing due means this was a stale (lazy) deadline fired at
         # the pre-arrival rate, or integer rounding undershot; either
         # way re-arm from current state. Progress strictly increases

@@ -18,6 +18,16 @@ from typing import Dict, List, Optional
 from repro.errors import ConfigError
 
 
+def require_int(name: str, value, least: Optional[int] = None) -> None:
+    """Reject a bool, a non-integer or a value below ``least`` with a
+    :class:`ConfigError` naming the argument."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (least is not None and value < least)):
+        bound = f" >= {least}" if least is not None else ""
+        raise ConfigError(
+            f"{name} must be an integer{bound}, got {value!r}")
+
+
 class Cache:
     """One cache level (set-associative, LRU, allocate-on-miss)."""
 
@@ -25,8 +35,12 @@ class Cache:
                  line_bytes: int = 64, hit_cycles: int = 4,
                  parent: Optional["Cache"] = None,
                  miss_cycles: int = 250):
-        if size_bytes <= 0 or ways <= 0 or line_bytes <= 0:
-            raise ConfigError(f"invalid cache geometry for {name!r}")
+        for arg, value, least in (("size_bytes", size_bytes, 1),
+                                  ("ways", ways, 1),
+                                  ("line_bytes", line_bytes, 1),
+                                  ("hit_cycles", hit_cycles, 0),
+                                  ("miss_cycles", miss_cycles, 0)):
+            require_int(f"{name!r} {arg}", value, least)
         lines = size_bytes // line_bytes
         if lines % ways != 0:
             raise ConfigError(
@@ -127,12 +141,9 @@ class Cache:
         E13's 32 MiB interference streams are such passes. Every other
         pass is one :meth:`access` per address.
         """
-        for name, value, least in (("stride", stride, 1),
-                                   ("nbytes", nbytes, 0)):
-            if (isinstance(value, bool) or not isinstance(value, int)
-                    or value < least):
-                raise ConfigError(
-                    f"{name} must be an integer >= {least}, got {value!r}")
+        require_int("base", base)
+        require_int("nbytes", nbytes, 0)
+        require_int("stride", stride, 1)
         levels = [self]
         while levels[-1].parent is not None:
             levels.append(levels[-1].parent)
@@ -152,7 +163,10 @@ class Cache:
 
     # ------------------------------------------------------------------
     def _lines(self, base: int, nbytes: int) -> range:
-        """The lines of ``[base, base + nbytes)``, at least ``base``'s."""
+        """The lines of ``[base, base + nbytes)``, at least ``base``'s;
+        a bad range raises a :class:`ConfigError` before any change."""
+        require_int("base", base)
+        require_int("nbytes", nbytes, 0)
         return range(base // self.line_bytes,
                      (base + max(nbytes - 1, 0)) // self.line_bytes + 1)
 
@@ -214,6 +228,9 @@ class CacheHierarchy:
 
     def __init__(self, costs=None, l1_kib: int = 32, l2_kib: int = 512,
                  l3_kib: int = 8192, line_bytes: int = 64):
+        for arg, value in (("l1_kib", l1_kib), ("l2_kib", l2_kib),
+                           ("l3_kib", l3_kib), ("line_bytes", line_bytes)):
+            require_int(arg, value, 1)
         if costs is None:
             from repro.arch.costs import CostModel
             costs = CostModel()

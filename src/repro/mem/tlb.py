@@ -13,7 +13,7 @@ caches' ``warm``/``pin``/``flush`` hooks and E13-style policies apply.
 
 from __future__ import annotations
 
-from repro.mem.cache import Cache
+from repro.mem.cache import Cache, require_int
 
 PAGE_BYTES = 4096
 
@@ -24,6 +24,11 @@ class Tlb(Cache):
     def __init__(self, name: str = "dtlb", entries: int = 64, ways: int = 4,
                  page_bytes: int = PAGE_BYTES,
                  hit_cycles: int = 1, walk_cycles: int = 100):
+        # named here: the cache below sees only their products and aliases
+        for arg, value, least in (("entries", entries, 1),
+                                  ("page_bytes", page_bytes, 1),
+                                  ("walk_cycles", walk_cycles, 0)):
+            require_int(f"{name!r} {arg}", value, least)
         super().__init__(name, entries * page_bytes, ways=ways,
                          line_bytes=page_bytes, hit_cycles=hit_cycles,
                          miss_cycles=walk_cycles)

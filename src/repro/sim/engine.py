@@ -36,6 +36,10 @@ from repro.errors import SimulationError
 #: than the dead entries do).
 _COMPACT_MIN_QUEUE = 64
 
+#: The horizon of an unbounded :meth:`HeapEngine.run`: later than any
+#: event time.
+_NEVER = float("inf")
+
 #: ``[time, seq, fn, args]``; ``fn`` is None once cancelled or dispatched
 Event = List[Any]
 
@@ -208,6 +212,24 @@ class Engine:
             return s
         return t
 
+    def due_now(self) -> bool:
+        """True when a live event is pending at the current time.
+
+        An event scheduled at ``now`` dispatches after every such event
+        and before everything later, so when this is False a callback
+        that would be scheduled at ``now`` is the very next dispatch --
+        provided nothing else runs in between (see
+        :meth:`repro.distributed.rpc.RpcServerModel.submit`). Cheap on
+        the common answer: a lane is scanned past cancelled entries
+        only when its head sits at ``now``.
+        """
+        now = self._now
+        queue = self._queue
+        steps = self._steps
+        if (queue and queue[0][0] == now) or (steps and steps[0][0] == now):
+            return self.next_event_time() == now
+        return False
+
     @property
     def pending_events(self) -> int:
         """Number of scheduled, non-cancelled callbacks (O(1))."""
@@ -248,11 +270,13 @@ class HeapEngine(Engine):
         """
         prior_until = self._run_until
         self._run_until = int(until) if until is not None else None
+        # one comparison per event: an unbounded run stops at no time
+        horizon = until if until is not None else _NEVER
+        first = self._events_processed
         try:
             queue = self._queue
             steps = self._steps
             pop = heapq.heappop
-            dispatched = 0
             while queue or steps:
                 # merge the two lanes by (time, seq); seq is shared, so
                 # the record comparison reproduces the single-queue order
@@ -266,16 +290,16 @@ class HeapEngine(Engine):
                     pop(src)
                     continue
                 time = event[0]
-                if until is not None and time > until:
+                if time > horizon:
                     break
-                if max_events is not None and dispatched >= max_events:
+                if (max_events is not None
+                        and self._events_processed - first >= max_events):
                     break
                 pop(src)
                 event[2] = None
                 self._now = time
                 self._events_processed += 1
                 self._live -= 1
-                dispatched += 1
                 fn(*event[3])
         finally:
             self._run_until = prior_until

@@ -235,6 +235,24 @@ class TestClusterService:
         assert hedged["hedges"] > 0
         assert hedged["conserved"]
 
+    def test_shard_drops_once_its_hedge_fails_too(self):
+        """A rejected shard waits for its hedge timer; when the hedge is
+        rejected as well, nothing can revive the shard and the request
+        drops. A shard with an attempt still in a node does not."""
+        config = ClusterConfig(nodes=1, fanout=1, requests=2, segments=1,
+                               queue_limit=1, hedge_after=1_000,
+                               link=LinkSpec(base_cycles=100,
+                                             jitter_mean_cycles=0.0))
+        service = _service(config)
+        service.submit(1, [1_000_000.0])   # holds the node's one slot
+        service.submit(2, [100.0])
+        service.engine.run(until=1_099)
+        assert service.rejected == 1 and service.dropped == 0
+        service.engine.run(until=10_000)
+        assert service.hedges_sent == 2 and service.rejected == 3
+        assert service.dropped == 1 and service.in_flight == 1
+        assert service.conservation()["ok"]
+
 
 # ----------------------------------------------------------------------
 class TestClusterConfig:

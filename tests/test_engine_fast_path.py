@@ -61,6 +61,27 @@ def test_next_event_time_skips_cancelled_heads(make_engine):
     assert engine.next_event_time() == 7
 
 
+def test_due_now_sees_only_live_events_at_now_in_either_lane():
+    engine = Engine()
+    assert not engine.due_now()
+    later = engine.at(5, lambda: None)
+    assert not engine.due_now()           # pending, but not at now
+    now = engine.at(0, lambda: None)
+    assert engine.due_now()
+    engine.cancel(now)
+    assert not engine.due_now()           # a dead head at now is skipped
+    step = engine.at_step(0, lambda: None)
+    assert engine.due_now()               # the step lane counts too
+    engine.cancel(step)
+    engine.cancel(later)
+    assert not engine.due_now()
+    seen = []
+    engine.at(3, lambda: seen.append(engine.due_now()))
+    engine.at(3, lambda: None)
+    engine.run()
+    assert seen == [True]                 # asked from inside a dispatch
+
+
 def test_run_until_exposed_only_inside_bounded_run(make_engine):
     engine = make_engine()
     seen = []

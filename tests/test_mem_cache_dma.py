@@ -118,6 +118,63 @@ class TestWalkValidation:
         assert hier.walk_working_set(0x1000, 0) == 0
         assert hier.l1.misses == 0
 
+    @pytest.mark.parametrize("base", [0.5, True, None, "0"])
+    def test_bad_base_rejected(self, base):
+        hier = CacheHierarchy()
+        with pytest.raises(ConfigError, match="base"):
+            hier.walk_working_set(base, 4096)
+        assert hier.l1.misses == 0
+
+
+def _untouched(hier: CacheHierarchy) -> bool:
+    """No level holds, pins or has counted anything."""
+    return all(not cache._pinned and not any(cache._sets)
+               and cache.hits == cache.misses == 0
+               for cache in (hier.l1, hier.l2, hier.l3))
+
+
+class TestValidation:
+    """Bad sizes, latencies and ranges fail with a ConfigError naming
+    the argument, before anything changes."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("size_bytes", 4096.5), ("size_bytes", True), ("size_bytes", 0),
+        ("ways", True), ("ways", 4.0), ("line_bytes", True),
+        ("line_bytes", "64"), ("hit_cycles", -4), ("hit_cycles", 1.5),
+        ("miss_cycles", -1), ("miss_cycles", True)])
+    def test_bad_cache_args_rejected(self, field, value):
+        args = dict(size_bytes=4096, ways=4, line_bytes=64, hit_cycles=4,
+                    miss_cycles=100)
+        args[field] = value
+        with pytest.raises(ConfigError, match=field):
+            Cache("L1", **args)
+
+    @pytest.mark.parametrize("field, value", [
+        ("l1_kib", True), ("l1_kib", 0), ("l2_kib", 512.0),
+        ("l3_kib", None), ("line_bytes", True)])
+    def test_bad_hierarchy_args_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            CacheHierarchy(**{field: value})
+
+    def test_free_levels_allowed(self):
+        cache = Cache("L1", 4096, hit_cycles=0, miss_cycles=0)
+        assert cache.access(0) == 0 and cache.misses == 1
+
+    @pytest.mark.parametrize("op", ["warm", "pin", "unpin"])
+    @pytest.mark.parametrize("base, nbytes, field", [
+        (0, -64, "nbytes"), (0, True, "nbytes"), (0, 64.0, "nbytes"),
+        (0.5, 64, "base"), (True, 64, "base")])
+    def test_bad_range_rejected(self, op, base, nbytes, field):
+        hier = CacheHierarchy()
+        with pytest.raises(ConfigError, match=field):
+            getattr(hier, op)(base, nbytes)
+        assert _untouched(hier)
+
+    def test_empty_range_is_base_line(self):
+        hier = CacheHierarchy()
+        hier.pin(0x1000, 0)
+        assert hier.l1._pinned == {0x1000 // 64}
+
 
 class TestDma:
     def test_transfer_lands_after_latency_and_bandwidth(self):

@@ -119,3 +119,28 @@ class TestValidation:
         with pytest.raises(ConfigError, match="nbytes"):
             tlb.walk_working_set(0, nbytes)
         assert tlb.misses == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("entries", True), ("entries", 64.5), ("ways", True),
+        ("ways", 4.0), ("page_bytes", True), ("page_bytes", 4096.0),
+        ("hit_cycles", -1), ("walk_cycles", -100), ("walk_cycles", 1.5)])
+    def test_bad_args_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            Tlb(**{field: value})
+
+    @pytest.mark.parametrize("op", ["warm", "pin", "unpin"])
+    @pytest.mark.parametrize("base, nbytes, field", [
+        (0, -PAGE_BYTES, "nbytes"), (0, 4096.0, "nbytes"),
+        (0.5, PAGE_BYTES, "base"), (None, PAGE_BYTES, "base")])
+    def test_bad_range_rejected(self, op, base, nbytes, field):
+        tlb = Tlb()
+        with pytest.raises(ConfigError, match=field):
+            getattr(tlb, op)(base, nbytes)
+        assert not tlb._pinned and not any(tlb._sets)
+
+    @pytest.mark.parametrize("base", [0.5, True])
+    def test_bad_walk_base(self, base):
+        tlb = Tlb()
+        with pytest.raises(ConfigError, match="base"):
+            tlb.walk_working_set(base, PAGE_BYTES)
+        assert tlb.misses == 0
