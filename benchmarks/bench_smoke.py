@@ -7,12 +7,9 @@ Re-measures the cheap throughput numbers -- raw engine dispatch
 regresses more than ``TOLERANCE_PCT`` below its committed baseline.
 Wall-clock entries are informational; only events/sec is gated, since
 it is the one metric that tracks the engine hot path rather than the
-container's mood. The engine-event count of each single-engine cluster
-run is deterministic, so it is gated exactly: a speed-up that drops or
-merges simulated events fails here whatever the timing says. Those
-counts move only through a declared re-baseline: the change that moves
-them edits them in ``BENCH_cluster.json`` and lists old -> new in
-CHANGES.md.
+container's mood. The engine-event counts of these cluster runs are
+deterministic, so they are not gated here but pinned exactly by the
+tier-1 test ``tests/test_cluster_event_counts.py``.
 
 The instrumentation, request-tracing and coherence-hook A/Bs run fresh
 and interleaved in this process; no committed number is read. Their
@@ -48,15 +45,6 @@ def check(label: str, baseline: int, measured: int, failures: list) -> None:
     print(f"{label:42s} baseline {baseline:>10,}  "
           f"measured {measured:>10,}  drop {drop:6.1f}%  {status}")
     if drop > TOLERANCE_PCT:
-        failures.append(label)
-
-
-def check_exact(label: str, committed: int, fresh: int,
-                failures: list) -> None:
-    status = "ok" if fresh == committed else "CHANGED"
-    print(f"{label:42s} committed {committed:>9,}  "
-          f"fresh {fresh:>13,}  (exact)     {status}")
-    if fresh != committed:
         failures.append(label)
 
 
@@ -106,8 +94,6 @@ def main() -> int:
         fresh = module.micro_bench()
         check(f"{section}.cluster_run", committed["events_per_sec"],
               fresh["events_per_sec"], failures)
-        check_exact(f"{section}.cluster_run.events", committed["events"],
-                    fresh["events"], failures)
 
     # request tracing: untraced vs untraced noise bound, traced cost
     check_overhead("e16.tracing", e16_spans.tracing_ab, failures)
@@ -137,12 +123,6 @@ def main() -> int:
         check(f"e14.shard_scaling[shards={shards}]",
               cell["events_per_sec"],
               fresh_scaling[shards]["events_per_sec"], failures)
-        # shards=1 is the single-engine run; sharded counts add the
-        # coordinator's synchronization events
-        if shards == "1":
-            check_exact("e14.shard_scaling[shards=1].events",
-                        cell["events"], fresh_scaling[shards]["events"],
-                        failures)
 
     # decoded-dispatch throughput: fresh instr/sec per loop shape with
     # the decode cache on, gated against the committed baseline (a
@@ -155,8 +135,8 @@ def main() -> int:
               fresh_isa[name]["predecode_instr_per_sec"], failures)
 
     if failures:
-        print(f"\nevents/sec regression >{TOLERANCE_PCT}% or changed "
-              f"event count in: " + ", ".join(failures))
+        print(f"\nevents/sec regression >{TOLERANCE_PCT}% in: "
+              + ", ".join(failures))
         return 1
     print("\nall benchmarks within tolerance")
     return 0

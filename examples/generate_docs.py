@@ -822,8 +822,9 @@ def engine_markdown() -> str:
         "(cluster wall-clock and events/sec, with the measuring host).",
         "`benchmarks/bench_smoke.py` re-measures the quick numbers in CI",
         "and fails on a >25% events/sec regression against the",
-        "committed baselines, or when a single-engine cluster run",
-        "dispatches a different number of events than committed.",
+        "committed baselines. The engine events those cluster runs",
+        "dispatch are deterministic and pinned exactly by the tier-1",
+        "test `tests/test_cluster_event_counts.py`.",
         "",
     ]
     return "\n".join(lines)

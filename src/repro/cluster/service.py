@@ -263,6 +263,11 @@ class ClusterService:
             state.settled = True
             self.dropped += 1
             self.in_flight -= 1
+            # the other shards' hedges would be no-ops on a settled request
+            for other in state.shards:
+                if other.hedge is not None:
+                    self.engine.cancel(other.hedge)
+                    other.hedge = None
             if self._spans is not None:
                 self._spans.request_settled(state.request_id,
                                             self.engine.now, "dropped")

@@ -5,6 +5,8 @@ callers can catch simulator failures without masking genuine Python bugs
 (``TypeError`` and friends always propagate).
 """
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro simulator."""
@@ -65,3 +67,13 @@ class TripleFault(ReproError):
 
 class ConfigError(ReproError):
     """Invalid machine, kernel, or experiment configuration."""
+
+
+def require_int(name: str, value, least: Optional[int] = None) -> None:
+    """Reject a bool, a non-integer or a value below ``least`` with a
+    :class:`ConfigError` naming the argument."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (least is not None and value < least)):
+        bound = f" >= {least}" if least is not None else ""
+        raise ConfigError(
+            f"{name} must be an integer{bound}, got {value!r}")

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Optional
 
 from repro.analysis.stats import LatencyRecorder
 from repro.arch.costs import CostModel
 from repro.errors import ConfigError
+from repro.kernel.sched import CallServer
 from repro.sim.engine import Engine
-from repro.sim.process import Signal
 
 
 class ExitReason(enum.Enum):
@@ -84,10 +83,12 @@ class SplitXExitPath:
         self.costs = costs or CostModel()
         self.comm_cycles = comm_cycles
         self.exits = 0
-        self.hv_core_busy_cycles = 0
-        self._queue: Deque[Tuple[int, Signal]] = deque()
-        self._arrival = Signal("splitx.arrival")
-        engine.spawn(self._hypervisor_core(), name="splitx.hvcore")
+        self._core = CallServer(engine, "splitx.hvcore")
+
+    @property
+    def hv_core_busy_cycles(self) -> int:
+        """Cycles the hypervisor core spent handling exits."""
+        return self._core.busy_cycles
 
     def overhead_cycles(self) -> int:
         """Per-exit overhead excluding handler work and queueing."""
@@ -97,20 +98,8 @@ class SplitXExitPath:
         """Sub-generator: ship the exit and wait for the reply."""
         self.exits += 1
         yield self.comm_cycles  # request cacheline travels to the hv core
-        done = Signal("splitx.done")
-        self._queue.append((max(1, handler_work_cycles), done))
-        self._arrival.fire()
-        yield done
+        yield self._core.submit(handler_work_cycles)
         yield self.comm_cycles  # reply travels back
-
-    def _hypervisor_core(self):
-        while True:
-            while not self._queue:
-                yield self._arrival
-            work, done = self._queue.popleft()
-            yield work
-            self.hv_core_busy_cycles += work
-            done.fire()
 
 
 class HwThreadExitPath:

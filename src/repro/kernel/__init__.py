@@ -10,11 +10,15 @@ each comparison with the *same* event streams and a shared
   accounting (the thing the paper wants to eliminate).
 - :mod:`repro.kernel.sched` -- single-server queueing disciplines:
   FIFO run-to-completion, round-robin with switch costs, and ideal
-  processor sharing (the paper's fine-grain hardware RR).
+  processor sharing (the paper's fine-grain hardware RR). Its one serve
+  loop, which charges only a wake, a dispatch and a time slice, also
+  runs the I/O servers, the microkernel service thread and SplitX's
+  hypervisor core.
 - :mod:`repro.kernel.interrupts` -- IDT interrupt delivery vs
   monitor/mwait dispatch.
 - :mod:`repro.kernel.io` -- the three I/O server designs of Section 2:
-  interrupt-driven, polling, and mwait-based.
+  interrupt-driven, polling, and mwait-based, which differ only in the
+  wake they price.
 - :mod:`repro.kernel.syscalls` -- synchronous, FlexSC-style
   asynchronous, and dedicated-hardware-thread system calls.
 

@@ -20,16 +20,14 @@ polling, delivery overhead for interrupts, wakeup cost for mwait).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Optional
 
 from repro.analysis.stats import LatencyRecorder
 from repro.arch.costs import CostModel
-from repro.errors import ConfigError
-from repro.obs.timeline import ThreadState
+from repro.errors import ConfigError, require_int
+from repro.kernel.sched import FifoServer
 from repro.sim.engine import Engine
-from repro.sim.process import Signal
 
 
 @dataclass(frozen=True)
@@ -45,39 +43,18 @@ class IoServerStats:
     p99_latency: float
 
 
-class _QueueIoServer:
-    """Shared machinery: FIFO queue + single server process."""
+class _QueueIoServer(FifoServer):
+    """Shared machinery: the FIFO serve loop of
+    :mod:`repro.kernel.sched`, priced per idle-to-busy wake by each
+    design. Drained events pay no further wake: both interrupt
+    coalescing and the mwait loop re-block only when none remain."""
+
+    OBS_NAMESPACE = "kernel.io"
 
     def __init__(self, engine: Engine, costs: Optional[CostModel] = None,
                  name: str = "ioserver"):
-        self.engine = engine
         self.costs = costs or CostModel()
-        self.name = name
-        self.recorder = LatencyRecorder(f"{name}.latency")
-        self._queue: Deque[Tuple[int, int, int]] = deque()  # (id, svc, t)
-        self._arrival = Signal(f"{name}.arrival")
-        self._idle = True
-        self.completed = 0
-        self.wakeups = 0
-        self.busy_cycles = 0
-        self.wasted_cycles = 0
-        self.started_at = engine.now
-        # observability: hook the ambient obs session, if one is active
-        # (I/O servers run on bare Engines, outside any Machine)
-        self._obs_latency = None
-        self._obs_timeline = None
-        self._obs_track = 0
-        import repro.obs as obs
-        session = obs.active()
-        if session is not None:
-            slug = "_".join(name.split()).lower()
-            prefix = session.register_source(f"kernel.io.{slug}",
-                                             self._fill_metrics)
-            self._obs_latency = session.registry.histogram(
-                f"{prefix}.latency_cycles")
-            self._obs_timeline = session.timeline
-            self._obs_track = session.register_track(prefix)
-        engine.spawn(self._serve(), name=f"{name}.server")
+        super().__init__(engine, name, LatencyRecorder(f"{name}.latency"))
 
     def _fill_metrics(self, registry, prefix: str) -> None:
         registry.inc(f"{prefix}.completed", self.completed)
@@ -89,13 +66,17 @@ class _QueueIoServer:
     # ------------------------------------------------------------------
     def deliver(self, event_id: int, service_cycles: int) -> None:
         """A packet/completion landed now; queue it for service."""
-        if service_cycles < 1:
-            raise ConfigError("service must be at least one cycle")
-        self._queue.append((event_id, service_cycles, self.engine.now))
-        self._arrival.fire()
+        require_int("service_cycles", service_cycles, 1)
+        self.offer_segment(service_cycles, event_id)
 
     def pending(self) -> int:
         return len(self._queue)
+
+    @property
+    def wasted_cycles(self) -> int:
+        """Cycles burned without useful work: every wake, plus the idle
+        spin :meth:`PollingIoServer.finalize` charges."""
+        return self.overhead_cycles
 
     def stats(self) -> IoServerStats:
         summary = self.recorder.summary()
@@ -110,41 +91,13 @@ class _QueueIoServer:
         )
 
     # ------------------------------------------------------------------
-    def _wake_cost_cycles(self) -> int:
-        """Idle-to-running transition cost; overridden per design."""
-        raise NotImplementedError
-
-    def _serve(self):
-        timeline = self._obs_timeline
-        while True:
-            while not self._queue:
-                self._idle = True
-                if timeline is not None:
-                    timeline.transition(self._obs_track, 0,
-                                        ThreadState.MWAIT,
-                                        self.engine.now)
-                yield self._arrival
-            self._idle = False
-            if timeline is not None:
-                timeline.transition(self._obs_track, 0,
-                                    ThreadState.RUNNING, self.engine.now)
-            cost = self._wake_cost_cycles()
-            self.wakeups += 1
-            if cost:
-                self.wasted_cycles += cost
-                yield cost
-            # drain the queue without further wakeups: the handler only
-            # re-blocks when no events remain (both interrupt coalescing
-            # and the mwait loop behave this way)
-            while self._queue:
-                event_id, service, landed = self._queue.popleft()
-                yield service
-                self.busy_cycles += service
-                self.completed += 1
-                latency = self.engine.now - landed
-                self.recorder.record(latency)
-                if self._obs_latency is not None:
-                    self._obs_latency.record(latency)
+    def _release(self, event_id: int, landed: int) -> None:
+        """Event ``event_id``, delivered at cycle ``landed``, is served."""
+        self.completed += 1
+        latency = self.engine.now - landed
+        self.recorder.record(latency)
+        if self._obs_latency is not None:
+            self._obs_latency.record(latency)
 
 
 class InterruptIoServer(_QueueIoServer):
@@ -155,7 +108,7 @@ class InterruptIoServer(_QueueIoServer):
         self.cross_core = cross_core
         super().__init__(engine, costs, name)
 
-    def _wake_cost_cycles(self) -> int:
+    def _wake_cycles(self) -> int:
         return self.costs.baseline_io_wakeup_cycles(cross_core=self.cross_core)
 
 
@@ -169,7 +122,7 @@ class MwaitIoServer(_QueueIoServer):
         self.tier = tier
         super().__init__(engine, costs, name)
 
-    def _wake_cost_cycles(self) -> int:
+    def _wake_cycles(self) -> int:
         return self.costs.hw_wakeup_cycles(self.tier)
 
 
@@ -183,13 +136,13 @@ class PollingIoServer(_QueueIoServer):
 
     def __init__(self, engine: Engine, costs: Optional[CostModel] = None,
                  poll_iteration_cycles: int = 20, name: str = "poll-io"):
-        if poll_iteration_cycles < 1:
-            raise ConfigError("poll iteration must be at least one cycle")
+        require_int("poll_iteration_cycles", poll_iteration_cycles, 1)
         self.poll_iteration_cycles = poll_iteration_cycles
         self._finalized = False
+        self.started_at = engine.now
         super().__init__(engine, costs, name)
 
-    def _wake_cost_cycles(self) -> int:
+    def _wake_cycles(self) -> int:
         # detection happens within one poll-loop iteration; the spin
         # waste itself is accounted at finalize() from idle time
         return self.poll_iteration_cycles
@@ -202,4 +155,4 @@ class PollingIoServer(_QueueIoServer):
         elapsed = self.engine.now - self.started_at
         spin = elapsed - self.busy_cycles
         if spin > 0:
-            self.wasted_cycles += spin
+            self.overhead_cycles += spin

@@ -16,6 +16,26 @@ Three disciplines make that claim testable:
   tension is the ablation of E12.
 - :class:`ProcessorSharingServer` -- exact (fluid) PS with zero switch
   cost: the paper's hardware fine-grain RR.
+
+One serve loop
+--------------
+:class:`RoundRobinServer` holds the simulator's only loop that drains
+a single server's FIFO queue, one generator process per server. It
+charges only the transitions the paper prices. A *wake*
+(:meth:`~RoundRobinServer._wake_cycles`) is paid once per idle-to-busy
+transition; jobs queued meanwhile drain without another. A *dispatch*
+(:meth:`~RoundRobinServer._dispatch_cycles`) is paid before each slice:
+RR's switch cost between two different jobs. A *slice* is at most
+``quantum`` cycles, after which an unfinished job rejoins the tail;
+FIFO has no quantum. Wakes and dispatches add up in
+``overhead_cycles``, slices in ``busy_cycles``. The other single
+servers subclass :class:`FifoServer` only to price a transition or to
+report a completion (:meth:`QueueingServer._release`): the I/O servers
+of :mod:`repro.kernel.io` price the wake, and a :class:`CallServer`
+fires each call's done signal. SplitX's hypervisor core
+(:mod:`repro.hypervisor.exits`) is a plain :class:`CallServer`; the
+microkernel service thread (:mod:`repro.microkernel.ipc`) prices a
+dispatch before every call.
 """
 
 from __future__ import annotations
@@ -28,7 +48,7 @@ from operator import itemgetter
 from typing import Deque, List, Optional, Tuple
 
 from repro.analysis.stats import LatencyRecorder
-from repro.errors import ConfigError
+from repro.errors import require_int
 from repro.obs.timeline import ThreadState
 from repro.sim.engine import Engine, Event
 from repro.sim.process import Signal
@@ -38,14 +58,18 @@ from repro.workloads.requests import Request
 class QueueingServer(abc.ABC):
     """Common surface: feed requests with :meth:`offer` at arrival time.
 
-    The processor-sharing and FIFO servers also take bare *segments*
+    The servers also take bare *segments*
     (:meth:`ProcessorSharingServer.offer_segment`,
-    :meth:`FifoServer.offer_segment`): a burst of CPU cycles with an
-    owner whose ``segment_done()`` runs at completion. A segment has no
-    :class:`Request` record and adds no sample to :attr:`recorder`; it
-    is counted in :attr:`completed` and, under an obs session, sampled
-    in the latency histogram like a request.
+    :meth:`RoundRobinServer.offer_segment`): a burst of CPU cycles with
+    an owner whose ``segment_done()`` runs at completion. A segment has
+    no :class:`Request` record and adds no sample to :attr:`recorder`;
+    it is counted in :attr:`completed` and, under an obs session,
+    sampled in the latency histogram like a request.
     """
+
+    #: Prefix of the metric source a server registers under an obs
+    #: session; None registers no source.
+    OBS_NAMESPACE: Optional[str] = "kernel.sched"
 
     def __init__(self, engine: Engine, name: str = "",
                  recorder: Optional[LatencyRecorder] = None):
@@ -63,11 +87,11 @@ class QueueingServer(abc.ABC):
         self._obs_timeline = None
         self._obs_track = 0
         import repro.obs as obs
-        session = obs.active()
+        session = obs.active() if self.OBS_NAMESPACE else None
         if session is not None:
             slug = "_".join(self.name.split()).lower()
-            prefix = session.register_source(f"kernel.sched.{slug}",
-                                             self._fill_metrics)
+            prefix = session.register_source(
+                f"{self.OBS_NAMESPACE}.{slug}", self._fill_metrics)
             self._obs_latency = session.registry.histogram(
                 f"{prefix}.latency_cycles")
             self._obs_timeline = session.timeline
@@ -75,7 +99,7 @@ class QueueingServer(abc.ABC):
 
     def _obs_transition(self, state) -> None:
         """Record a busy/blocked span edge on the session timeline (the
-        serve loops call this only when instrumentation is on)."""
+        serve loop calls this only when instrumentation is on)."""
         self._obs_timeline.transition(self._obs_track, 0, state,
                                       self.engine.now)
 
@@ -125,85 +149,61 @@ def feed_trace(engine: Engine, server: QueueingServer,
         engine.at(int(round(request.arrival_time)), server.offer, request)
 
 
-class FifoServer(QueueingServer):
-    """FCFS run-to-completion (no preemption, no switch cost)."""
-
-    def __init__(self, engine: Engine, name: str = "",
-                 recorder: Optional[LatencyRecorder] = None):
-        super().__init__(engine, name, recorder)
-        # (cycles, job, offered): offered is None for a whole Request
-        self._queue: Deque[Tuple[float, object, Optional[int]]] = deque()
-        self._arrival = Signal(f"{self.name}.arrival")
-        self._active = 0
-        engine.spawn(self._serve(), name=f"{self.name}.server")
-
-    def offer(self, request: Request) -> None:
-        self._queue.append((request.service_cycles, request, None))
-        self._arrival.fire()
-
-    def offer_segment(self, cycles: int, owner) -> None:
-        """``cycles`` of CPU work arrive now; ``owner.segment_done()``
-        runs when they complete (see :class:`QueueingServer`)."""
-        self._queue.append((cycles, owner, self.engine._now))
-        self._arrival.fire()
-
-    def in_flight(self) -> int:
-        return len(self._queue) + self._active
-
-    def _serve(self):
-        timeline = self._obs_timeline
-        while True:
-            while not self._queue:
-                if timeline is not None:
-                    self._obs_transition(ThreadState.MWAIT)
-                yield self._arrival
-            if timeline is not None:
-                self._obs_transition(ThreadState.RUNNING)
-            cycles, job, offered = self._queue.popleft()
-            self._active = 1
-            if offered is None:
-                job.start_time = float(self.engine.now)
-            service = max(1, int(round(cycles)))
-            yield service
-            self.busy_cycles += service
-            self._active = 0
-            self._release(job, offered)
-
-
 class RoundRobinServer(QueueingServer):
-    """Preemptive round robin with per-switch overhead.
+    """Preemptive round robin with per-switch overhead: the one serve
+    loop (see the module docstring).
 
     ``quantum`` is the time slice; ``switch_cost`` the cycles charged
     whenever the server switches between two *different* jobs (the
     software context-switch tax; zero models hardware RR).
     """
 
-    def __init__(self, engine: Engine, quantum: int,
+    def __init__(self, engine: Engine, quantum: Optional[int],
                  switch_cost: int = 0, name: str = "",
                  recorder: Optional[LatencyRecorder] = None):
-        if quantum < 1:
-            raise ConfigError(f"quantum must be >= 1, got {quantum}")
-        if switch_cost < 0:
-            raise ConfigError(f"switch cost must be >= 0, got {switch_cost}")
+        if quantum is not None:  # None: FifoServer, no time slice
+            require_int("quantum", quantum, 1)
+        require_int("switch_cost", switch_cost, 0)
         super().__init__(engine, name, recorder)
         self.quantum = quantum
         self.switch_cost = switch_cost
-        self._queue: Deque[Tuple[Request, int]] = deque()
+        self.wakeups = 0
+        # (remaining cycles, job, offered): offered is None for a Request
+        self._queue: Deque[Tuple[int, object, Optional[int]]] = deque()
         self._arrival = Signal(f"{self.name}.arrival")
         self._active = 0
-        self._last_tid: Optional[int] = None
         engine.spawn(self._serve(), name=f"{self.name}.server")
 
     def offer(self, request: Request) -> None:
-        remaining = max(1, int(round(request.service_cycles)))
-        self._queue.append((request, remaining))
+        self._admit(request.service_cycles, request, None)
+
+    def offer_segment(self, cycles: int, owner) -> None:
+        """``cycles`` of CPU work arrive now; ``owner.segment_done()``
+        runs when they complete (see :class:`QueueingServer`)."""
+        self._admit(cycles, owner, self.engine._now)
+
+    def _admit(self, cycles: float, job, offered: Optional[int]) -> None:
+        self._queue.append((max(1, int(round(cycles))), job, offered))
         self._arrival.fire()
 
     def in_flight(self) -> int:
         return len(self._queue) + self._active
 
+    def _wake_cycles(self) -> int:
+        """The idle-to-busy transition's cost, paid once per busy
+        period before its first job."""
+        return 0
+
+    def _dispatch_cycles(self, last, job) -> int:
+        """The cost of turning to ``job`` after a slice of ``last`` (None
+        at first): the switch cost between two different jobs."""
+        if last is None or last is job:
+            return 0
+        return self.switch_cost
+
     def _serve(self):
         timeline = self._obs_timeline
+        quantum, last = self.quantum, None
         while True:
             while not self._queue:
                 if timeline is not None:
@@ -211,24 +211,57 @@ class RoundRobinServer(QueueingServer):
                 yield self._arrival
             if timeline is not None:
                 self._obs_transition(ThreadState.RUNNING)
-            request, remaining = self._queue.popleft()
-            self._active = 1
-            if request.start_time is None:
-                request.start_time = float(self.engine.now)
-            if self._last_tid is not None and self._last_tid != request.req_id:
-                if self.switch_cost:
-                    yield self.switch_cost
-                    self.overhead_cycles += self.switch_cost
-            self._last_tid = request.req_id
-            slice_cycles = min(self.quantum, remaining)
-            yield slice_cycles
-            self.busy_cycles += slice_cycles
-            remaining -= slice_cycles
-            self._active = 0
-            if remaining > 0:
-                self._queue.append((request, remaining))
-            else:
-                self._finish(request)
+            self.wakeups += 1
+            cost = self._wake_cycles()
+            if cost:
+                yield cost
+                self.overhead_cycles += cost
+            # drain the queue without further wakeups: the server
+            # re-blocks only when no job remains
+            while self._queue:
+                remaining, job, offered = self._queue.popleft()
+                self._active = 1
+                if offered is None and job.start_time is None:
+                    job.start_time = float(self.engine._now)
+                cost = self._dispatch_cycles(last, job)
+                last = job
+                if cost:
+                    yield cost
+                    self.overhead_cycles += cost
+                service = (remaining if quantum is None or remaining <= quantum
+                           else quantum)
+                yield service
+                self.busy_cycles += service
+                self._active = 0
+                if remaining > service:
+                    self._queue.append((remaining - service, job, offered))
+                else:
+                    self._release(job, offered)
+
+
+class FifoServer(RoundRobinServer):
+    """FCFS run-to-completion (no preemption, no switch cost): the
+    serve loop with no quantum."""
+
+    def __init__(self, engine: Engine, name: str = "",
+                 recorder: Optional[LatencyRecorder] = None):
+        super().__init__(engine, None, 0, name, recorder)
+
+
+class CallServer(FifoServer):
+    """FIFO service of synchronous calls that registers no metric
+    source: :meth:`submit` returns the signal fired when a call's work
+    completes."""
+
+    OBS_NAMESPACE = None
+
+    def submit(self, work_cycles: int) -> Signal:
+        done = Signal(f"{self.name}.done")
+        self.offer_segment(work_cycles, done)
+        return done
+
+    def _release(self, done: Signal, offered: int) -> None:
+        done.fire()
 
 
 class ProcessorSharingServer(QueueingServer):
@@ -256,8 +289,7 @@ class ProcessorSharingServer(QueueingServer):
     def __init__(self, engine: Engine, name: str = "",
                  recorder: Optional[LatencyRecorder] = None,
                  servers: int = 1):
-        if servers < 1:
-            raise ConfigError(f"servers must be >= 1, got {servers}")
+        require_int("servers", servers, 1)
         super().__init__(engine, name, recorder)
         self.servers = servers
         self._progress = 0.0  # per-job virtual progress since t=0

@@ -15,17 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.errors import ConfigError
-
-
-def require_int(name: str, value, least: Optional[int] = None) -> None:
-    """Reject a bool, a non-integer or a value below ``least`` with a
-    :class:`ConfigError` naming the argument."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (least is not None and value < least)):
-        bound = f" >= {least}" if least is not None else ""
-        raise ConfigError(
-            f"{name} must be an integer{bound}, got {value!r}")
+from repro.errors import ConfigError, require_int
 
 
 class Cache:

@@ -13,7 +13,8 @@ caches' ``warm``/``pin``/``flush`` hooks and E13-style policies apply.
 
 from __future__ import annotations
 
-from repro.mem.cache import Cache, require_int
+from repro.errors import require_int
+from repro.mem.cache import Cache
 
 PAGE_BYTES = 4096
 

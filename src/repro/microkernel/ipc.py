@@ -18,45 +18,25 @@ a ``call`` sub-generator for engine-driven runs with queueing.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Optional
 
 from repro.arch.costs import CostModel
 from repro.errors import ConfigError
+from repro.kernel.sched import CallServer
 from repro.kernel.threads import ContextSwitchAccounting
 from repro.sim.engine import Engine
-from repro.sim.process import Signal
 
 
-class _ServiceQueue:
-    """One service thread draining a FIFO of calls (software queuing)."""
+class _ServiceQueue(CallServer):
+    """One service thread draining a FIFO of calls (software queuing),
+    paying the dispatch cost before every call."""
 
     def __init__(self, engine: Engine, dispatch_cycles: int):
-        self.engine = engine
         self.dispatch_cycles = dispatch_cycles
-        self._queue: Deque[Tuple[int, Signal]] = deque()
-        self._arrival = Signal("svc.arrival")
-        self.busy_cycles = 0
-        self.calls_served = 0
-        engine.spawn(self._serve(), name="svc.thread")
+        super().__init__(engine, "svc")
 
-    def submit(self, work_cycles: int) -> Signal:
-        done = Signal("svc.done")
-        self._queue.append((max(1, work_cycles), done))
-        self._arrival.fire()
-        return done
-
-    def _serve(self):
-        while True:
-            while not self._queue:
-                yield self._arrival
-            work, done = self._queue.popleft()
-            if self.dispatch_cycles:
-                yield self.dispatch_cycles
-            yield work
-            self.busy_cycles += work
-            self.calls_served += 1
-            done.fire()
+    def _dispatch_cycles(self, last, job) -> int:
+        return self.dispatch_cycles
 
 
 class SchedulerIpc:

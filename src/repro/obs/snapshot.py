@@ -17,28 +17,8 @@ same experiment produce byte-identical snapshot JSON.
 
 Metric namespace
 ----------------
-==================  ====================================================
-prefix              meaning
-==================  ====================================================
-``engine.*``        event-loop totals (events processed, final cycle)
-``core{N}.*``       per-core issue/idle/wakeup counters and the
-                    ``wakeup_latency_cycles`` histogram
-``storage{N}.*``    thread-state store tiers, promotions, demotions
-``mem.*``           loads/stores and the watch bus
-``mem.cache.*``     cache-hierarchy hits/misses/evictions (via sources)
-``kernel.sched.*``  queueing-server latency histograms and counters
-``kernel.io.*``     I/O-server wakeups, wasted cycles, latency
-``dev.*``           devices (NIC packet counters)
-``trace.*``         trace records dropped past a tracer's limit
-``cluster.service{N}.*``  cluster front-end: request/attempt/hedge
-                    counters and the end-to-end latency histogram
-``cluster.node{N}.*``  per-node admission/completion/busy counters
-``cluster.fabric{N}.*``  network fabric sends, drops, delay cycles
-``coherence.directory{N}.*``  watch-bus directory: arm/disarm/
-                    invalidation/forward counters and charged cycles
-``coherence.remote{N}.*``  RDMA-style remote mailbox stores
-``coherence.tdt{N}.*``  sharded-TDT resolutions and cross-shard cycles
-==================  ====================================================
+Every metric name starts with one of the prefixes documented in
+:data:`NAMESPACE`, from which ``docs/observability.md`` is generated.
 """
 
 from __future__ import annotations
@@ -48,8 +28,8 @@ from typing import Any, Dict
 
 from repro.obs.metrics import MetricsRegistry
 
-#: Documented metric-name prefixes (kept in sync with the table above;
-#: docs/observability.md is generated from this).
+#: Documented metric-name prefixes, the one list of them
+#: (docs/observability.md is generated from this).
 NAMESPACE = {
     "engine": "event-loop totals (events processed, final cycle)",
     "core{N}": "per-core issue/idle/wakeup counters, the "

@@ -68,7 +68,6 @@ class Engine:
         self._events_processed: int = 0
         self._live: int = 0  # scheduled, not cancelled, not yet dispatched
         self._run_until: Optional[int] = None
-        self._processes: "List[Any]" = []  # live Process objects (weak bookkeeping)
         # Both lanes are only ever mutated in place (heappush, heappop,
         # slice assignment): run() holds local aliases to them while
         # callbacks schedule, cancel and peek.
@@ -142,9 +141,7 @@ class Engine:
         """
         from repro.sim.process import Process
 
-        proc = Process(self, generator, name=name)
-        self._processes.append(proc)
-        return proc
+        return Process(self, generator, name=name)
 
     def cancel(self, event: Event) -> None:
         """Stop the event a scheduling call returned from firing, like

@@ -1,13 +1,17 @@
-"""Exact engine work at the E14 operating point, at the default seed.
+"""Exact engine work at the E14 operating point, at the default seed,
+and of the cluster micro-runs in ``benchmarks/`` at their seed 7.
 
-The two configurations are those of the benchmark's ``cluster_model``
+The E14 configurations are those of the benchmark's ``cluster_model``
 (jsq over 32 nodes, one sw-threads and one hw-threads run) and
 ``cluster_hedged`` (lossy links, hedge timers, request spans)
-workloads. Engine events, processor-sharing completions and completion
-deadlines armed are deterministic, so they are pinned exactly: a
-change that adds or drops engine work, on purpose or not, fails here
-and must re-baseline these numbers in the same change, listing old ->
-new in CHANGES.md.
+workloads. The micro-runs are ``bench_e14_cluster.micro_bench`` and
+``shard_scaling`` at one shard, and ``bench_e15_backends.micro_bench``
+on the ISA backend, whose retired instructions give the engine events
+per retired instruction. Engine events, processor-sharing completions
+and completion deadlines armed are deterministic, so they are pinned
+exactly: a change that adds or drops engine work, on purpose or not,
+fails here and must re-baseline these numbers in the same change,
+listing old -> new in CHANGES.md.
 """
 
 from contextlib import nullcontext
@@ -15,8 +19,9 @@ from contextlib import nullcontext
 import pytest
 
 import repro.obs.spans as spans
-from repro.cluster import DESIGNS, LinkSpec
+from repro.cluster import DESIGNS, ClusterConfig, LinkSpec, run_cluster
 from repro.cluster.run import build_cluster, drive_workload
+from repro.cluster.service import ClusterService
 from repro.experiments.e14_cluster import RTT, _base_config
 from repro.kernel.sched import ProcessorSharingServer
 from repro.sim.engine import HeapEngine
@@ -65,3 +70,66 @@ def test_exact_engine_work(name, monkeypatch):
     assert sum(node.server.cpu.completed
                for node in service.nodes) == completions
     assert len(armed) == arms
+
+
+def _bench_config(design, nodes, fanout, policy, requests, **overrides):
+    """The cluster micro-runs' shared workload shape."""
+    return ClusterConfig(nodes=nodes, design=DESIGNS[design], policy=policy,
+                         fanout=fanout, load=0.1, mean_service_cycles=5_000,
+                         segments=4, rtt_cycles=20_000, requests=requests,
+                         **overrides)
+
+
+#: name -> (config, engine events, retired instructions on ISA nodes)
+BENCH_RUNS = {
+    "e14-cluster-run": (
+        _bench_config("sw-threads", 8, 4, "random", 200), 8_998, 0),
+    "e14-shard-scaling-1": (
+        _bench_config("sw-threads", 16, 8, "round-robin", 300, shards=1),
+        27_284, 0),
+    "e15-cluster-run-isa": (
+        ClusterConfig(nodes=2, design=DESIGNS["hw-threads"],
+                      policy="round-robin", fanout=1, load=0.06,
+                      mean_service_cycles=4_000, segments=2,
+                      rtt_cycles=20_000, requests=60, backend="isa"),
+        1_264, 720),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_RUNS))
+def test_exact_bench_run_work(name):
+    config, events, instructions = BENCH_RUNS[name]
+    result = run_cluster(config, seed=7)
+    assert result.summary["conserved"]
+    assert result.summary["completed"] == config.requests
+    assert result.engine.events_processed == events
+    retired = sum(node.server.machine.core(0).instructions_retired
+                  for node in result.service.nodes
+                  if config.backend == "isa")
+    assert retired == instructions
+
+
+def test_a_dropped_request_cancels_its_hedge_timers(monkeypatch):
+    """Lossy links and a two-deep admission queue drop requests whose
+    other shards still hold a hedge timer; settling the request as
+    dropped cancels them, so no hedge fires on a settled request."""
+    config = _base_config(nodes=16, fanout=8, policy="round-robin",
+                          requests=400, design=DESIGNS["hw-threads"],
+                          link=LinkSpec(drop_prob=0.05),
+                          hedge_after=8 * RTT, queue_limit=2)
+    hedges = []
+    hedge = ClusterService._hedge
+
+    def noting_hedge(service, state, shard_index, cycles):
+        hedges.append(state.settled)
+        hedge(service, state, shard_index, cycles)
+
+    monkeypatch.setattr(ClusterService, "_hedge", noting_hedge)
+    streams = RngStreams(DEFAULT_SEED)
+    service = build_cluster(config, streams)
+    drive_workload(service, config, streams)
+    service.engine.run(until=config.horizon())
+    assert service.conservation()["ok"]
+    assert service.dropped == 60 and service.completed == 340
+    assert len(hedges) == 444 and not any(hedges)
+    assert service.engine.events_processed == 30_302

@@ -189,6 +189,17 @@ class TestIoServers:
         with pytest.raises(ConfigError):
             PollingIoServer(Engine(), poll_iteration_cycles=0)
 
+    @pytest.mark.parametrize("cycles", [2.5, True])
+    def test_polling_rejects_non_integer_iteration(self, cycles):
+        with pytest.raises(ConfigError, match="poll_iteration_cycles"):
+            PollingIoServer(Engine(), poll_iteration_cycles=cycles)
+
+    @pytest.mark.parametrize("service", [2.5, True])
+    def test_deliver_rejects_non_integer_service(self, service):
+        server = MwaitIoServer(Engine())
+        with pytest.raises(ConfigError, match="service_cycles"):
+            server.deliver(0, service)
+
     def test_mwait_rejects_bad_tier(self):
         with pytest.raises(ConfigError):
             MwaitIoServer(Engine(), tier="tape")

@@ -95,6 +95,17 @@ class TestRoundRobinServer:
         with pytest.raises(ConfigError):
             RoundRobinServer(Engine(), quantum=10, switch_cost=-1)
 
+    @pytest.mark.parametrize("kwargs, argument", [
+        (dict(quantum=2.5), "quantum"),
+        (dict(quantum=True), "quantum"),
+        (dict(quantum="10"), "quantum"),
+        (dict(quantum=10, switch_cost=1.5), "switch_cost"),
+        (dict(quantum=10, switch_cost=True), "switch_cost"),
+    ])
+    def test_rejects_non_integer_arguments(self, kwargs, argument):
+        with pytest.raises(ConfigError, match=argument):
+            RoundRobinServer(Engine(), **kwargs)
+
 
 class TestProcessorSharingServer:
     def test_single_job_runs_at_full_rate(self):
@@ -162,6 +173,11 @@ class TestProcessorSharingServer:
     def test_rejects_zero_servers(self):
         with pytest.raises(ConfigError):
             ProcessorSharingServer(Engine(), servers=0)
+
+    @pytest.mark.parametrize("servers", [True, 1.5, "2"])
+    def test_rejects_non_integer_servers(self, servers):
+        with pytest.raises(ConfigError, match="servers"):
+            ProcessorSharingServer(Engine(), servers=servers)
 
     def test_ps_beats_fifo_under_high_variability(self):
         # the paper's Section 4 claim, as a regression test

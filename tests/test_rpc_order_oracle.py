@@ -9,7 +9,8 @@ cancelled hedge timers against the behaviour they replaced.
 - every segment enters the queueing server as its own
   :class:`~repro.workloads.requests.Request` through ``offer``, and its
   completion comes back through the payload's ``done``;
-- hedge timers are never cancelled.
+- hedge timers are never cancelled, neither when their shard
+  completes nor when their request is dropped.
 
 A run and its oracle twin must agree on everything observable: the
 cluster summary, every latency sample in order, the node, server and
@@ -47,6 +48,8 @@ from repro.workloads.service import Exponential
 
 START = "_InflightRequest.start"
 HEDGE = "ClusterService._hedge"
+DONE_SHARD = "hedge on a done shard"
+SETTLED = "hedge on a settled request"
 
 
 class _SegmentDone:
@@ -118,7 +121,9 @@ class Trace:
     terms (attempt ids, request ids, shard indexes, or the order in
     which an owner first dispatched), so two equivalent runs trace
     equal lists. A hedge timer that fires on a shard already done is
-    labelled ``hedge on a done shard``: the change cancels those.
+    labelled ``hedge on a done shard``, and one that fires on a request
+    already settled ``hedge on a settled request``: the change cancels
+    both.
     """
 
     def __init__(self):
@@ -137,7 +142,9 @@ class Trace:
         elif name == HEDGE:
             state, shard_index, _cycles = args
             if state.shards[shard_index].done:
-                name = "hedge on a done shard"
+                name = DONE_SHARD
+            elif state.settled:
+                name = SETTLED
             what = (name, state.request_id, shard_index)
         elif owner is not None:
             what = (name, self._owners.setdefault(id(owner),
@@ -153,7 +160,8 @@ class Trace:
 @contextmanager
 def traced():
     """Trace dispatches and count ``due_now`` answers and live hedge
-    timers cancelled within the run's horizon."""
+    timers cancelled within the run's horizon, in all and on a settled
+    request."""
     trace = Trace()
     counts = Counter()
     at, due_now, cancel = HeapEngine.at, Engine.due_now, Engine.cancel
@@ -171,6 +179,8 @@ def traced():
                 and (engine.run_until is None
                      or event[0] <= engine.run_until)):
             counts["hedges cancelled"] += 1
+            state, _shard_index, _cycles = event[3]
+            counts["settled hedges cancelled"] += state.settled
         cancel(engine, event)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -249,10 +259,11 @@ def _check_against_oracle(observe, *args):
         oracle_observed, oracle_events = observe(*args)
     assert observed == oracle_observed
     assert trace.without(START) == oracle_trace.without(
-        START, "hedge on a done shard")
-    cancelled = sum(1 for event in oracle_trace.events
-                    if event[1] == "hedge on a done shard")
-    assert counts["hedges cancelled"] == cancelled
+        START, DONE_SHARD, SETTLED)
+    cancelled = Counter(event[1] for event in oracle_trace.events)
+    assert counts["hedges cancelled"] == (cancelled[DONE_SHARD]
+                                          + cancelled[SETTLED])
+    assert counts["settled hedges cancelled"] == cancelled[SETTLED]
     assert events == (oracle_events - counts["inline"]
                       - counts["hedges cancelled"])
     return counts
@@ -287,17 +298,29 @@ def cluster_cases(draw):
     return config, draw(st.integers(0, 2**16))
 
 
+#: Single-slot queues and lossy links drop requests whose other shards
+#: still hold a hedge timer.
+DROPS_WITH_HEDGES = ClusterConfig(
+    nodes=4, design=DESIGNS["hw-threads"], policy="round-robin", fanout=4,
+    load=0.9, mean_service_cycles=5_000, segments=2, rtt_cycles=300,
+    requests=30, queue_limit=1, hedge_after=8_000, threads_per_peer=0,
+    link=LinkSpec(base_cycles=2_000, jitter_mean_cycles=40.0,
+                  drop_prob=0.05))
+
+
 def test_cluster_runs_match_the_oracle():
     seen = Counter()
 
     @settings(max_examples=60, deadline=None)
+    @example(case=(DROPS_WITH_HEDGES, 0))
     @given(case=cluster_cases())
     def check(case):
         seen.update(_check_against_oracle(_observe_cluster, *case))
 
     check()
-    # the guard's both answers, and the cancel, must have been exercised
+    # the guard's both answers, and both cancels, must have been exercised
     assert seen["scheduled"] and seen["inline"] and seen["hedges cancelled"]
+    assert seen["settled hedges cancelled"]
 
 
 #: (design, cores, resident threads, segments, rtt, mean gap, mean

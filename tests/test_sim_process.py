@@ -1,5 +1,8 @@
 """Unit tests for processes, signals, and combinators."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -254,3 +257,23 @@ def test_nested_subgenerators_via_yield_from():
     engine.spawn(outer())
     engine.run()
     assert got == [(10, 5)]
+
+
+def test_a_finished_process_is_not_kept_alive_by_its_engine():
+    """Nothing in the engine holds a spawned process once it has
+    finished, so a run that spawns one per call (E07's clients) frees
+    them as they end. The process's generator is referenced by the
+    process alone."""
+    def body():
+        yield 5
+
+    engine = Engine()
+    generator = body()
+    process = engine.spawn(generator)
+    engine.run()
+    assert not process.alive
+    dead = weakref.ref(generator)
+    del generator, process
+    gc.collect()
+    assert dead() is None
+    assert engine.now == 5
