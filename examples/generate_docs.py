@@ -223,7 +223,13 @@ def experiments_markdown() -> str:
         "(d) the `run(until=...)` horizon. Under slot contention the",
         "jump needs equal priorities and is restricted to whole",
         "round-robin rotations, which pick every thread the same number",
-        "of times and leave the rotation pointer unchanged. When",
+        "of times and leave the rotation pointer unchanged: with n",
+        "threads on w slots and the shortest burst at m cycles, at most",
+        "`(m - 1) // w` rotations of n rounds, capped by (b)-(d) only.",
+        "The `- 1` leaves every thread at least one cycle of work, so",
+        "each batched round is one where every issueable thread is",
+        "mid-`work`, exactly as the profiler's `fastforward` bucket",
+        "counts a stepped round. When",
         "another component could wake mid-jump",
         "(multi-core machines, cluster nodes), the batch is armed as an",
         "interruptible sleep on the core's wake signal and re-planned at",
@@ -232,12 +238,23 @@ def experiments_markdown() -> str:
         "cycles, issue rounds, storage recency order, the arbiter's",
         "ring pointer, trace stream, and the final clock are identical",
         "to naive stepping; only `events_processed` drops (that is the point).",
+        "Independently, a core whose next round (after a stepped round,",
+        "a stall or an uninterruptible batch) would be the engine's very",
+        "next dispatch claims it in",
+        "place of scheduling it (`Engine.claim`, docs/engine.md): it may",
+        "do so only when the engine's run loop resumed it from the step",
+        "lane, no event in either lane is due at or before that round,",
+        "and the round is within the run's `until` and `max_events`. A",
+        "claimed round counts as a processed event, so `events_processed`",
+        "is the same as if it had been yielded.",
         "Fast-forward is always on; naive stepping is a test oracle",
         "(`naive_stepping()` in `tests/naive_reference.py`), and",
         "`tests/test_fastforward_equivalence.py` diffs the two on",
         "contended SMT workloads with monitors, DMA wakeups, exceptions,",
-        "and cross-core stores that land mid-batch, and on the quick",
-        "JSON of every experiment whose cores consult the planner.",
+        "and cross-core stores that land mid-batch (profiler buckets",
+        "included), and on the quick JSON of every experiment whose",
+        "cores consult the planner. Claims have their own oracle,",
+        "`no_claims()`, and test, `tests/test_claim_oracle.py`.",
         "",
     ]
     return "\n".join(lines)
@@ -729,7 +746,8 @@ def engine_markdown() -> str:
         "with deterministic `(time, insertion-seq)` dispatch order.",
         "The public surface is `at`/`after` (each returning an opaque",
         "handle), `cancel(handle)`, `run`/`run_until_idle`/`step`, and",
-        "`next_event_time`/`due_now`.",
+        "`next_event_time`/`due_now`; ISA cores also use the step lane",
+        "and `claim`.",
         "",
         "## One binary heap",
         "",
@@ -799,6 +817,31 @@ def engine_markdown() -> str:
         "Its callers call it last (`RpcWorkload` schedules the next",
         "arrival first). `tests/test_rpc_order_oracle.py` checks the",
         "dispatch order against the always-scheduled kick-off.",
+        "",
+        "## Claimed rounds",
+        "",
+        "The same argument, applied to a core's next issue round: a",
+        "core's issue loop that the engine's run loop resumed from the",
+        "step lane calls `claim(now + delta)` instead of yielding",
+        "`delta`. When no live event in either lane is due at or before",
+        "that round (an equal-time event was scheduled first, so it runs",
+        "first), and the round is within the running `run()`'s `until`",
+        "and `max_events`, the resume it would have scheduled is the very",
+        "next dispatch anyway: the engine moves the clock to it and",
+        "counts it in `events_processed`, and the loop carries on without",
+        "scheduling anything. Otherwise the loop yields as before. So",
+        "`events_processed` counts claimed rounds as dispatched events and",
+        "does not depend on whether a round was claimed or yielded;",
+        "`run(max_events=n)` still processes exactly n events and",
+        "`run(until=t)` still stops the clock at t. A resume by the",
+        "core's wake signal, or by the interruptible batch's `AnyOf`,",
+        "can run nested inside another callback that continues at `now`,",
+        "so it yields once before it may claim. On the benchmark's",
+        "`cluster_isa` workload (seed 1) the events scheduled per request",
+        "fell from 132.4 to 48.2. `tests/test_claim_oracle.py` checks",
+        "claimed against yielded rounds (`no_claims()` in",
+        "`tests/naive_reference.py`): results, `events_processed`, trace",
+        "records and profiler buckets.",
         "",
         "## Cancellation-free completions",
         "",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_int
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,7 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if value < 0:
-                raise ConfigError(f"{field.name} must be non-negative, got {value}")
+            require_int(field.name, getattr(self, field.name), 0)
 
     # ------------------------------------------------------------------
     # derived path costs

@@ -30,7 +30,7 @@ analogue and halts the core.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.costs import CostModel
 from repro.arch.registers import RegisterClass
@@ -235,13 +235,26 @@ class HWCore:
         width = self.smt_width
         select = self.arbiter.select
         issue_one = self._issue_one
+        claim = engine.claim
         wake = self._wake
         profile = self.profile
+        # Only a resume the engine's run loop dispatched from the step
+        # lane may claim its next round in place of yielding it
+        # (Engine.claim): one by the wake signal or the lazy batch's
+        # AnyOf can run nested inside a callback that continues at `now`.
+        stepped = False
         # Profiler attribution (obs/profile.py): a pend() before every
-        # yield and a settle() on resume put every cycle the loop lives
+        # wait and a settle() after it put every cycle the loop lives
         # through in exactly one bucket, so the per-core buckets sum to
         # engine.now. Attribution only observes: it never changes what
-        # the loop does or how long it sleeps.
+        # the loop does or how long it sleeps. It must also be a pure
+        # function of simulation state, never of whether a batch plan
+        # happened to fire (the plan horizon reads the host engine's
+        # foreign-event queue, which differs between a single-engine and
+        # a sharded run): a round where every issueable thread is
+        # mid-`work` -- the exact trigger condition of
+        # _plan_fast_forward -- is a work-burn ("fastforward") cycle
+        # whether it was batched or stepped.
         while not self.halted:
             # ptid-ordered by construction (threads is ptid-ordered);
             # any state transition clears the cache
@@ -258,6 +271,7 @@ class HWCore:
                     parked = any(t.state is WAITING for t in threads)
                     profile.pend("mwait" if parked else "idle", idle_from)
                 yield wake
+                stepped = False
                 if profile is not None:
                     profile.settle(engine.now)
                 self.idle_cycles += engine.now - idle_from
@@ -265,70 +279,62 @@ class HWCore:
             now = engine._now
             issueable = [t for t in runnable if t.busy_until <= now]
             if not issueable:
-                next_free = min(t.busy_until for t in runnable)
+                delta = min(t.busy_until for t in runnable) - now
                 if profile is not None:
                     profile.pend("stall", now)
-                yield next_free - now
-                if profile is not None:
-                    profile.settle(engine.now)
-                continue
-            plan = self._plan_fast_forward(runnable, issueable, now)
-            if plan is not None:
-                cycles, lazy, contended = plan
-                if profile is not None:
-                    profile.pend("fastforward", now)
-                if not lazy:
-                    yield self._apply_fast_forward(
-                        issueable, cycles, contended, now)
+            else:
+                plan = self._plan_fast_forward(runnable, issueable, now)
+                if plan is not None:
+                    cycles, lazy, contended = plan
                     if profile is not None:
-                        profile.settle(engine.now)
-                    continue
-                # interruptible batch: a step event (another core's
-                # resume) falls inside the window, so park until the
-                # timeout or a wake and account whatever elapsed
-                yield AnyOf((cycles, wake))
-                if profile is not None:
-                    profile.settle(engine.now)
-                elapsed = engine.now - now
-                if elapsed:
-                    self._apply_fast_forward(
-                        issueable, elapsed, contended, now)
-                continue
-            if profile is not None:
-                # Attribution must be a pure function of simulation
-                # state, never of whether a batch plan happened to fire
-                # (the plan horizon reads the host engine's foreign-event
-                # queue, which differs between a single-engine and a
-                # sharded run): a round where every issueable thread is
-                # mid-`work` -- the exact trigger condition of
-                # _plan_fast_forward -- is a work-burn ("fastforward")
-                # cycle whether it was batched or stepped. Evaluate
-                # before issuing, which decrements.
-                bucket = "fastforward"
-                for thread in issueable:
-                    if thread.work_remaining <= 0:
-                        bucket = "issue"
-                        break
-            picked = select(issueable, width)
-            self.issue_rounds += 1
-            for thread in picked:
-                issue_one(thread)
-            # merged stall: when every still-runnable thread is busy past
-            # now+1, resuming at now+1 would only rediscover the stall
-            # and park again until the earliest busy_until -- skip the
-            # intermediate resume and sleep there directly. (State
-            # changes from outside land at their own simulation times
-            # either way; the skipped resume had no side effects.) The
-            # profiler still sees the round's own cycle, then the stall.
-            runnable = self._runnable_cache
-            delta = 1
-            if runnable:
-                delta = min(t.busy_until for t in runnable) - now
-                if delta < 1:
+                        profile.pend("fastforward", now)
+                    if lazy:
+                        # interruptible batch: a step event (another
+                        # core's resume) falls inside the window, so park
+                        # until the timeout or a wake and account
+                        # whatever elapsed
+                        yield AnyOf((cycles, wake))
+                        stepped = False
+                        if profile is not None:
+                            profile.settle(engine.now)
+                        elapsed = engine.now - now
+                        if elapsed:
+                            self._apply_fast_forward(
+                                issueable, elapsed, contended, now)
+                        continue
+                    delta = self._apply_fast_forward(
+                        issueable, cycles, contended, now)
+                else:
+                    if profile is not None:
+                        # evaluated before issuing, which decrements
+                        bucket = "fastforward"
+                        for thread in issueable:
+                            if thread.work_remaining <= 0:
+                                bucket = "issue"
+                                break
+                    picked = select(issueable, width)
+                    self.issue_rounds += 1
+                    for thread in picked:
+                        issue_one(thread)
+                    # merged stall: when every still-runnable thread is
+                    # busy past now+1, resuming at now+1 would only
+                    # rediscover the stall and park again until the
+                    # earliest busy_until -- skip the intermediate resume
+                    # and sleep there directly. (State changes from
+                    # outside land at their own simulation times either
+                    # way; the skipped resume had no side effects.) The
+                    # profiler still sees the round's own cycle, then the
+                    # stall. A state transition cleared the cache: step.
                     delta = 1
-            if profile is not None:
-                profile.pend_split(bucket, now, "stall")
-            yield delta
+                    if self._runnable_cache is not None:
+                        delta = min(t.busy_until for t in runnable) - now
+                        if delta < 1:
+                            delta = 1
+                    if profile is not None:
+                        profile.pend_split(bucket, now, "stall")
+            if not (stepped and claim(now + delta)):
+                yield delta
+                stepped = True
             if profile is not None:
                 profile.settle(engine.now)
 
@@ -338,7 +344,9 @@ class HWCore:
         When every issueable thread is mid-``work``, each upcoming round
         only decrements counters -- no instruction fetch, no memory
         traffic, no traces. The issue pattern is then frozen until (a) a
-        burst ends, (b) a busy/starting thread re-joins the pool, (c) a
+        burst ends (under slot contention: the last whole rotation after
+        which every thread still has work left), (b) a busy/starting
+        thread re-joins the pool, (c) a
         foreign engine event fires (anything that can wake or stop a
         thread is a main-queue event), or (d) the ``run(until=...)``
         horizon, past which our catch-up resume would never be
@@ -364,11 +372,21 @@ class HWCore:
         n = len(issueable)
         width = self.smt_width
         contended = n > width
-        if contended and not self.arbiter.uniform(issueable):
+        if not contended:
+            # no slot contention: every thread burns one cycle per round
+            horizon = min_work
+        elif not self.arbiter.uniform(issueable):
             # unequal weights: the credit walk's pick pattern is not
             # rotation-periodic, so step the contended rounds one by one
             return None
-        horizon = min_work
+        else:
+            # uniform weights pick in round-robin rotation, which is
+            # periodic: any n consecutive rounds over a stable n-thread
+            # set pick every thread exactly `width` times. Whole
+            # rotations that leave every thread at least one cycle of
+            # work keep each batched round all-mid-work, as a stepped
+            # round would see it
+            horizon = (min_work - 1) // width * n
         for t in thread_list:
             b = t.busy_until
             if b > now and b - now < horizon:
@@ -380,19 +398,9 @@ class HWCore:
         until = engine.run_until
         if until is not None and until - now < horizon:
             horizon = until - now
-        if not contended:
-            # no slot contention: every thread burns one cycle per round
-            if horizon < 2:
-                return None
-            cycles = horizon
-        else:
-            # uniform weights pick in round-robin rotation, which is
-            # periodic: any n consecutive rounds over a stable n-thread
-            # set pick every thread exactly `width` times
-            blocks = min(min_work // width, horizon // n)
-            cycles = blocks * n
-            if cycles < 2:
-                return None
+        cycles = horizon - horizon % n if contended else horizon
+        if cycles < 2:
+            return None
         step = engine._next_step_time()
         lazy = step is not None and step < now + cycles
         return cycles, lazy, contended
@@ -749,9 +757,10 @@ class HWCore:
         self.instructions_retired -= rollback
         thread.work_remaining = 0
 
-    def _idle_ptids(self) -> List[int]:
-        """Contexts safe to demote from the register file."""
-        return [t.ptid for t in self.threads if not t.runnable]
+    def _idle_ptids(self) -> Iterator[int]:
+        """Contexts safe to demote from the register file (lazily: the
+        store reads them only to make room in a full one)."""
+        return (t.ptid for t in self.threads if not t.runnable)
 
     def _make_wakeup(self, thread: HardwareThread):
         def wakeup(_info: dict) -> None:

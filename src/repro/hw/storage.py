@@ -18,7 +18,7 @@ which threads are stored closer to the core based on criticality".
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.arch.costs import CostModel
 from repro.arch.registers import register_file_capacity, state_bytes
@@ -106,12 +106,15 @@ class ThreadStateStore:
         self._pinned.discard(ptid)
 
     # ------------------------------------------------------------------
-    def start_latency(self, ptid: int, evictable: Optional[List[int]] = None) -> int:
+    def start_latency(self, ptid: int,
+                      evictable: Optional[Iterable[int]] = None) -> int:
         """Charge for starting ``ptid`` and promote its context to RF.
 
-        ``evictable`` lists ptids whose contexts may be demoted to make
-        room (the core passes its currently idle ptids). Returns the
-        start latency in cycles for the tier the context came from.
+        ``evictable`` yields the ptids whose contexts may be demoted to
+        make room (the core passes a generator of its currently idle
+        ptids); it is read only when the context sits outside the
+        register file. Returns the start latency in cycles for the tier
+        the context came from.
         """
         tier = self.tier_of(ptid)
         self.starts_by_tier[tier] += 1
@@ -141,7 +144,7 @@ class ThreadStateStore:
             self.promotions += 1
         self._touch(ptid)
 
-    def _make_room(self, evictable: List[int]) -> None:
+    def _make_room(self, evictable: Iterable[int]) -> None:
         if self._count(StorageTier.RF) < self.rf_capacity:
             return
         victims = [p for p in evictable

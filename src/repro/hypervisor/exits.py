@@ -27,7 +27,7 @@ from typing import Optional
 
 from repro.analysis.stats import LatencyRecorder
 from repro.arch.costs import CostModel
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_int
 from repro.kernel.sched import CallServer
 from repro.sim.engine import Engine
 
@@ -77,8 +77,7 @@ class SplitXExitPath:
 
     def __init__(self, engine: Engine, costs: Optional[CostModel] = None,
                  comm_cycles: int = 200):
-        if comm_cycles < 1:
-            raise ConfigError("communication cost must be >= 1 cycle")
+        require_int("comm_cycles", comm_cycles, 1)
         self.engine = engine
         self.costs = costs or CostModel()
         self.comm_cycles = comm_cycles
@@ -147,8 +146,8 @@ class GuestVm:
                  reason: ExitReason = ExitReason.VMCALL,
                  rng: Optional[random.Random] = None,
                  name: str = "guest"):
-        if total_work_cycles < 1 or exit_interval_cycles < 1:
-            raise ConfigError("work and interval must be positive")
+        require_int("total_work_cycles", total_work_cycles, 1)
+        require_int("exit_interval_cycles", exit_interval_cycles, 1)
         self.engine = engine
         self.path = path
         self.total_work_cycles = total_work_cycles

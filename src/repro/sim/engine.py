@@ -22,6 +22,10 @@ fast-forward uses as its batching horizon. A core mid-burst cannot
 affect another core except through main-queue events or by firing the
 other core's wake signal, so other cores' per-cycle steps must not cap
 the batch (see :meth:`repro.hw.core.HWCore._plan_fast_forward`).
+
+A core may also *claim* its next step-lane resume (:meth:`claim`)
+when it would be the very next dispatch: the clock advances to it in
+place, and the claim counts as a processed event.
 """
 
 from __future__ import annotations
@@ -67,7 +71,10 @@ class Engine:
         self._seq = itertools.count()
         self._events_processed: int = 0
         self._live: int = 0  # scheduled, not cancelled, not yet dispatched
-        self._run_until: Optional[int] = None
+        # the innermost active run()'s `until`, and the count of
+        # processed events its `max_events` stops at (none outside a run)
+        self._horizon: float = _NEVER
+        self._limit: float = 0
         # Both lanes are only ever mutated in place (heappush, heappop,
         # slice assignment): run() holds local aliases to them while
         # callbacks schedule, cancel and peek.
@@ -86,7 +93,10 @@ class Engine:
 
     @property
     def events_processed(self) -> int:
-        """Total callbacks dispatched since construction."""
+        """Total events processed since construction: callbacks
+        dispatched plus step-lane resumes claimed in place
+        (:meth:`claim`), so the count does not depend on whether a core
+        claimed its rounds or yielded them."""
         return self._events_processed
 
     @property
@@ -98,7 +108,7 @@ class Engine:
         this, or their catch-up event would be left undispatched when
         the run stops at the horizon.
         """
-        return self._run_until
+        return None if self._horizon == _NEVER else self._horizon
 
     # ------------------------------------------------------------------
     # scheduling
@@ -132,6 +142,33 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.at_step(self._now + int(delay), fn, *args)
+
+    def claim(self, time: int) -> bool:
+        """Process a step-lane resume at ``time`` in place.
+
+        A CPU core's issue loop that :meth:`run` resumed itself calls
+        this instead of yielding its next round. When no live event in
+        either lane is due at or before ``time`` (an equal-time one was
+        scheduled first), and ``time`` is within the run's ``until`` and
+        ``max_events``, that resume would be the very next dispatch: the
+        clock moves to ``time``, the claim counts in
+        :attr:`events_processed`, and the result is True. Otherwise
+        nothing changes. A callback nested inside another (a signal
+        waiter) must not claim: its caller would resume at a moved clock.
+        """
+        if time > self._horizon or self._events_processed >= self._limit:
+            return False
+        queue = self._queue
+        steps = self._steps
+        if (queue and queue[0][0] <= time) or (steps and steps[0][0] <= time):
+            # a lane is scanned past cancelled entries only when its
+            # head is due by then
+            due = self.next_event_time()
+            if due is not None and due <= time:
+                return False
+        self._now = time
+        self._events_processed += 1
+        return True
 
     def spawn(self, generator: Any, name: Optional[str] = None) -> "Any":
         """Start a generator coroutine as a simulation process.
@@ -265,11 +302,12 @@ class HeapEngine(Engine):
         clock is advanced to exactly ``until`` even if the queue drained
         earlier, so rate computations stay meaningful.
         """
-        prior_until = self._run_until
-        self._run_until = int(until) if until is not None else None
+        prior = self._horizon, self._limit
         # one comparison per event: an unbounded run stops at no time
-        horizon = until if until is not None else _NEVER
+        horizon = self._horizon = int(until) if until is not None else _NEVER
         first = self._events_processed
+        # a claimed resume (claim) counts against max_events too
+        self._limit = first + max_events if max_events is not None else _NEVER
         try:
             queue = self._queue
             steps = self._steps
@@ -299,7 +337,7 @@ class HeapEngine(Engine):
                 self._live -= 1
                 fn(*event[3])
         finally:
-            self._run_until = prior_until
+            self._horizon, self._limit = prior
         if until is not None and self._now < until:
             self._now = int(until)
         return self._now

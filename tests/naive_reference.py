@@ -1,8 +1,8 @@
 """Naive references for the core: the oracles its fast paths match.
 
-Two fast paths, two oracles. :func:`naive_interpreter` checks the
+Three fast paths, three oracles. :func:`naive_interpreter` checks the
 pre-decoded handler chains; :func:`naive_stepping` checks the
-busy-cycle fast-forward.
+busy-cycle fast-forward; :func:`no_claims` checks the claimed rounds.
 
 The naive ISA interpreter
 -------------------------
@@ -38,6 +38,16 @@ except in ``engine.events_processed``. Under :func:`naive_stepping`
 every such round runs one cycle at a time instead; the issue loop looks
 the planner up each round, so the block may start after the machine
 has run.
+
+No claims
+---------
+An issue loop that the engine resumed from its step lane claims its
+next round in place (``Engine.claim``) when that round would be the
+very next dispatch, and the claim counts as a dispatched event. Under
+:func:`no_claims` the engine refuses every claim, so each round is
+yielded to the engine and dispatched from the step lane: the
+behaviour before claims existed. A core binds ``engine.claim`` when it
+first resumes, so enter the block before the machine's first run.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from repro.errors import GuestFault, IsaError
 from repro.hw.core import HWCore
 from repro.hw.exceptions import ExceptionKind
 from repro.isa.instructions import Label, OPS
+from repro.sim.engine import Engine
 
 
 def _read(thread, operand) -> int:
@@ -301,3 +312,29 @@ def naive_stepping():
     if not intercepted:
         raise AssertionError("no core planned a fast-forward batch "
                              "inside the block")
+
+
+@contextmanager
+def no_claims():
+    """Refuse every claim made inside the block.
+
+    Raises ``AssertionError`` if no core asked to claim a round inside
+    the block: its cores bound ``engine.claim`` before it (or never
+    stepped), and the caller would be comparing claims with themselves.
+    """
+    asked = 0
+
+    def refuse(engine, time):
+        nonlocal asked
+        asked += 1
+        return False
+
+    claim = Engine.claim
+    Engine.claim = refuse
+    try:
+        yield
+    finally:
+        Engine.claim = claim
+    if not asked:
+        raise AssertionError("no core asked to claim a round inside the "
+                             "block: did a core start before it?")

@@ -1,5 +1,7 @@
 """Tests for the cost model and its derived path costs."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch import CostModel
@@ -90,6 +92,17 @@ def test_scaled_overrides_single_field(costs):
 def test_negative_cost_rejected():
     with pytest.raises(ConfigError):
         CostModel(sw_switch_cycles=-1)
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "4", None])
+def test_non_integer_cost_rejected(value):
+    """Every constant is a whole number of cycles: a float, a bool or a
+    string fails at construction, naming the field, not mid-run."""
+    for field in dataclasses.fields(CostModel):
+        with pytest.raises(ConfigError, match=field.name):
+            CostModel(**{field.name: value})
+    with pytest.raises(ConfigError, match="monitor_wakeup_cycles"):
+        CostModel().scaled(monitor_wakeup_cycles=value)
 
 
 def test_memory_hierarchy_ordering(costs):

@@ -2,9 +2,10 @@
 and of the cluster micro-runs in ``benchmarks/`` at their seed 7.
 
 The E14 configurations are those of the benchmark's ``cluster_model``
-(jsq over 32 nodes, one sw-threads and one hw-threads run) and
-``cluster_hedged`` (lossy links, hedge timers, request spans)
-workloads. The micro-runs are ``bench_e14_cluster.micro_bench`` and
+(jsq over 32 nodes, one sw-threads and one hw-threads run),
+``cluster_hedged`` (lossy links, hedge timers, request spans) and
+``cluster_isa`` (every node an ISA machine) workloads. The micro-runs
+are ``bench_e14_cluster.micro_bench`` and
 ``shard_scaling`` at one shard, and ``bench_e15_backends.micro_bench``
 on the ISA backend, whose retired instructions give the engine events
 per retired instruction. Engine events, processor-sharing completions
@@ -44,6 +45,18 @@ CASES = {
              design=DESIGNS["hw-threads"], link=LinkSpec(drop_prob=0.01),
              hedge_after=8 * RTT),
         True, 29_762, 12_912, 13_315),
+}
+
+
+#: (design, coherence) -> (engine events, retired instructions) of the
+#: four ``cluster_isa`` configurations, checked on the claimed side of
+#: ``tests/test_claim_oracle.py::test_cluster_isa_run_matches_without_claims``,
+#: which runs each with and without claimed rounds
+ISA_CASES = {
+    ("hw-threads", "off"): (3_859, 2_080),
+    ("sw-threads", "off"): (6_473, 2_080),
+    ("event-loop", "off"): (2_862, 1_531),
+    ("hw-threads", "directory"): (4_603, 2_080),
 }
 
 
@@ -92,7 +105,7 @@ BENCH_RUNS = {
                       policy="round-robin", fanout=1, load=0.06,
                       mean_service_cycles=4_000, segments=2,
                       rtt_cycles=20_000, requests=60, backend="isa"),
-        1_264, 720),
+        1_246, 720),
 }
 
 

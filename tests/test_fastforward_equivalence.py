@@ -14,6 +14,7 @@ import pytest
 
 from repro import build_machine
 from repro.experiments import get_experiment
+from repro.hw.core import HWCore
 from tests.naive_reference import naive_stepping
 
 
@@ -144,6 +145,20 @@ def _run_contended_priority():
     return machine
 
 
+def _run_unequal_bursts(instrument: bool = False):
+    """Three unequal work bursts contend for one slot: each batch runs
+    whole rotations up to the last one after which the shortest burst
+    still has work left, then the round where it ends steps."""
+    machine = build_machine(cores=1, hw_threads_per_core=4, smt_width=1,
+                            instrument=instrument, trace=True)
+    for ptid, cycles in enumerate((700, 1_234, 1_901)):
+        machine.load_asm(ptid, f"work {cycles}\nmovi r1, {ptid}\nhalt",
+                         supervisor=True)
+        machine.boot(ptid)
+    machine.run()
+    return machine
+
+
 def _run_multicore(instrument: bool = False):
     """Two cores on one engine: each core's bursts must batch past the
     other core's per-cycle resumes (which live in the engine's step lane,
@@ -191,7 +206,8 @@ def _run_multicore(instrument: bool = False):
 
 @pytest.mark.parametrize("workload", [_run_contended,
                                       _run_uncontended_priority,
-                                      _run_contended_priority])
+                                      _run_contended_priority,
+                                      _run_unequal_bursts])
 def test_fast_forward_matches_naive(workload):
     fast = _run(workload, True)
     naive = _run(workload, False)
@@ -221,6 +237,47 @@ def test_multicore_fast_forward_matches_naive():
     # the whole point: neither core's per-cycle resumes pinned the
     # other's horizon at one cycle
     assert fast.engine.events_processed < naive.engine.events_processed / 5
+
+
+def _profile(machine):
+    return machine.obs.profiler.snapshot(machine.engine.now)
+
+
+@pytest.mark.parametrize("workload", [_run_contended, _run_multicore,
+                                      _run_unequal_bursts])
+def test_profiler_attribution_matches_naive(workload):
+    """A batched round is charged to ``fastforward`` as a stepped one
+    is only while every issueable thread is mid-``work``: a contended
+    batch that ran a burst down to zero would charge the rounds after
+    it to ``fastforward`` where stepping charges ``issue``."""
+    fast = _run(workload, True, instrument=True)
+    naive = _run(workload, False, instrument=True)
+    assert fast.engine.now == naive.engine.now
+    assert _profile(fast) == _profile(naive)
+    assert fast.engine.events_processed < naive.engine.events_processed
+
+
+def test_contended_batches_run_whole_rotations_to_the_shortest_burst(
+        monkeypatch):
+    """Three bursts on one slot: a batch is bounded by whole rotations,
+    not by the shortest burst's cycles, so the core plans once per
+    burst end and not in a geometric series of shrinking batches."""
+    plans = []
+    planner = HWCore._plan_fast_forward
+
+    def noting(core, thread_list, issueable, now):
+        plan = planner(core, thread_list, issueable, now)
+        if plan is not None:
+            plans.append(plan[0])
+        return plan
+
+    monkeypatch.setattr(HWCore, "_plan_fast_forward", noting)
+    machine = _run_unequal_bursts()
+    # the shortest burst has 699 cycles to burn: 698 rotations of three
+    # leave it one. Once it ends, the middle one has 533 left (532
+    # rotations of two), and then the longest runs alone, uncontended
+    assert plans == [698 * 3, 532 * 2, 665]
+    assert all(machine.thread(ptid).finished for ptid in range(3))
 
 
 @pytest.mark.parametrize("workload", [_run_lone_mixed, _run_contended,

@@ -67,6 +67,27 @@ class TestStorageTiers:
         assert latency == CostModel().hw_start_rf_cycles
         assert store.promotions == 0
 
+    def test_evictable_is_read_only_to_make_room(self):
+        """The core hands over its idle ptids as a generator: an
+        RF-resident start never iterates it, a promotion into a full
+        register file does."""
+        store = make_store(rf_slots=2, l2_slots=4)
+        for ptid in range(3):
+            store.register(ptid)
+        read = []
+
+        def idle(ptids):
+            for ptid in ptids:
+                read.append(ptid)
+                yield ptid
+
+        store.start_latency(0, idle([1]))
+        assert read == []
+        store.start_latency(2, idle([0, 1]))
+        assert read == [0, 1]
+        assert store.tier_of(2) is StorageTier.RF
+        assert store.tier_of(1) is StorageTier.L2  # 0 started more recently
+
     def test_footprint_bytes(self):
         store = make_store(rf_slots=2)
         store.register(0)

@@ -97,6 +97,17 @@ class TestGuestVm:
         with pytest.raises(ConfigError):
             GuestVm(engine, InThreadExitPath(engine), 0, 100)
 
+    @pytest.mark.parametrize("work,interval,field", [
+        (1000.5, 100, "total_work_cycles"),
+        (True, 100, "total_work_cycles"),
+        (10_000, 2.5, "exit_interval_cycles"),
+        (10_000, False, "exit_interval_cycles"),
+    ])
+    def test_rejects_non_integer_params(self, work, interval, field):
+        engine = Engine()
+        with pytest.raises(ConfigError, match=field):
+            GuestVm(engine, InThreadExitPath(engine), work, interval)
+
 
 class TestSplitXQueueing:
     def test_shared_core_queues_under_contention(self):
@@ -127,6 +138,11 @@ class TestSplitXQueueing:
     def test_rejects_bad_comm(self):
         with pytest.raises(ConfigError):
             SplitXExitPath(Engine(), comm_cycles=0)
+
+    @pytest.mark.parametrize("comm", [2.5, 200.0, True])
+    def test_rejects_non_integer_comm(self, comm):
+        with pytest.raises(ConfigError, match="comm_cycles"):
+            SplitXExitPath(Engine(), comm_cycles=comm)
 
 
 class TestExitReasons:
