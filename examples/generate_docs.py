@@ -46,9 +46,9 @@ def isa_markdown() -> str:
         "## Operand kinds",
         "",
         "Every operand is checked against its kind when the",
-        "`Instruction` is built, so the assembler, `AsmTemplate` and",
-        "direct construction all reject a bad operand with an",
-        "`IsaError` when the program is loaded.",
+        "`Instruction` is built, so the assembler and direct",
+        "construction both reject a bad operand with an `IsaError`",
+        "when the program is loaded.",
         "",
         "| kind | accepts |",
         "|---|---|",
@@ -657,23 +657,35 @@ def backends_markdown() -> str:
         "",
         "## What the ISA backend runs",
         "",
-        "Each admitted request is assembled into straight-line blocking",
-        "code and bound to one of the node's hardware-thread slots",
+        "Each admitted request runs as straight-line blocking code on",
+        "one of the node's hardware-thread slots",
         f"({DEFAULT_SLOTS} per node; overflow queues FIFO):",
         "",
         "```asm",
-        "    work <segment 0>",
+        "    work r6           ; segment 0's length, written before boot",
         "    movi r1, REPLY",
         "    monitor r1        ; armed before the call: no lost wakeup",
         "    movi r2, REQ",
         "    movi r3, 1",
-        "    st r2, 0, r3      ; issue the remote call",
+        "    st r2, 0, r3      ; issue the remote call for segment 1",
         "    mwait             ; simple blocking semantics",
-        "    work <segment 1>",
+        "    work r6           ; the reply wrote segment 1's length",
         "    ...",
         "    st r4, 0, r5      ; DONE mailbox -> completion callback",
         "    halt",
         "```",
+        "",
+        "A request's segment lengths travel as data, the way the paper",
+        "hands a disabled ptid its registers before `start`: the",
+        "backend writes the first length into the slot's r6 before",
+        "booting it, and the remote peer -- which learns from the REQ",
+        "store which segment the thread waits for -- writes the next",
+        "length into r6 just before its reply store. One register",
+        "serves any number of segments, so the program depends only on",
+        "the request's segment count and the slot's mailboxes: it is",
+        "assembled and decoded once per process, and loading a request",
+        "builds nothing. The mailboxes are `WatchBus.subscribe`",
+        "subscriptions, which stay armed across writes.",
         "",
         "Per design:",
         "",

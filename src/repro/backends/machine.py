@@ -1,13 +1,20 @@
 """The ISA-level server backend: requests run as real guest threads.
 
 Where the ``"model"`` backend charges the paper's transition costs
-analytically, this backend *executes* them: each admitted request is
-assembled into straight-line blocking code (the Section 2 style --
-compute, issue the remote call, ``monitor``/``mwait`` on the reply
-slot, compute, finish) and bound to a hardware thread of a
-:class:`~repro.machine.Machine` built on the cluster's shared engine.
-Wakeup costs, issue-slot sharing, and storage-tier start latencies come
-out of the simulated core itself.
+analytically, this backend *executes* them: each admitted request runs
+as straight-line blocking code (the Section 2 style -- compute, issue
+the remote call, ``monitor``/``mwait`` on the reply slot, compute,
+finish) on a hardware thread of a :class:`~repro.machine.Machine`
+built on the cluster's shared engine. Wakeup costs, issue-slot sharing,
+and storage-tier start latencies come out of the simulated core itself.
+
+A request's arguments travel as data, the way the paper hands a
+disabled ptid its registers before ``start``: every segment is
+``work r6``, the backend writes the first segment's length into the
+ptid's r6 before booting it, and the remote peer writes each next
+length there just before its reply store. So one program per request
+shape and slot is assembled and decoded once per process, and loading
+a request builds nothing.
 
 Per design:
 
@@ -40,9 +47,11 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.analysis.stats import LatencyRecorder
 from repro.arch.costs import CostModel
+from repro.arch.state import ArchState
 from repro.distributed.rpc import ServerDesign
-from repro.errors import ConfigError
-from repro.isa.assembler import AsmTemplate
+from repro.errors import ConfigError, require_int
+from repro.isa.assembler import assemble
+from repro.isa.program import Program
 from repro.machine import Machine, MachineConfig
 from repro.sim.engine import Engine
 
@@ -56,22 +65,26 @@ DEFAULT_SLOTS = 32
 _SLOT_DRAIN_CYCLES = 2
 
 
-#: (shape, req, reply, done) -> parsed-once program template, shared
-#: across backends and runs (shape 0 = the one-segment event-loop
-#: continuation, n >= 1 = an n-segment thread-per-request program).
-#: Only the ``work`` immediates change between requests of the same
-#: shape on the same slot, so they are the template's only dynamic
-#: holes; the slot's mailbox addresses are baked in as symbols (machine
-#: memory layout is deterministic, so the same (shape, bases) tuple
-#: recurs across every backend/run and the cache hits globally).
-#: Binding the holes skips the text assembler entirely and reuses the
-#: shared pre-decoded handler chain.
-_TEMPLATES: Dict[tuple, AsmTemplate] = {}
+#: The register a request's segment lengths travel in. The backend
+#: writes the first length before ``boot`` and the peer writes each
+#: next one just before its reply store, so every segment is this one
+#: ``work`` and one program serves every request of its shape.
+_WORK_REG = 6
+_WORK = f"    work r{_WORK_REG}"
+
+#: (shape, req, reply, done) -> program, assembled and decoded once and
+#: shared across slots, backends and runs (shape 0 = the one-segment
+#: event-loop continuation, n >= 1 = an n-segment thread-per-request
+#: program). The slot's mailbox addresses are baked in as symbols; the
+#: machine memory layout is deterministic, so the same (shape, bases)
+#: tuple recurs across every backend and run and the cache hits
+#: globally.
+_PROGRAMS: Dict[tuple, Program] = {}
 
 
 def _request_asm(nsegs: int) -> str:
     """Straight-line blocking code for one whole request."""
-    lines = ["    work W0"]
+    lines = [_WORK]
     for index in range(1, nsegs):
         lines += [
             "    movi r1, REPLY",
@@ -80,7 +93,7 @@ def _request_asm(nsegs: int) -> str:
             f"    movi r3, {index}",
             "    st r2, 0, r3",      # issue the remote call
             "    mwait",             # simple blocking semantics
-            f"    work W{index}",
+            _WORK,               # the reply wrote this segment's length
         ]
     lines += [
         "    movi r4, DONE",
@@ -94,7 +107,7 @@ def _request_asm(nsegs: int) -> str:
 def _segment_asm() -> str:
     """One run-to-completion event-loop callback."""
     return "\n".join([
-        "    work W0",
+        _WORK,
         "    movi r1, DONE",
         "    movi r2, 1",
         "    st r1, 0, r2",
@@ -102,18 +115,16 @@ def _segment_asm() -> str:
     ])
 
 
-def _template(shape: int, slot: _Slot) -> AsmTemplate:
+def _program(shape: int, slot: _Slot) -> Program:
     key = (shape, slot.req_base, slot.reply_base, slot.done_base)
-    template = _TEMPLATES.get(key)
-    if template is None:
+    program = _PROGRAMS.get(key)
+    if program is None:
         source = _segment_asm() if shape == 0 else _request_asm(shape)
-        template = AsmTemplate(
+        program = _PROGRAMS[key] = assemble(
             source, name=f"isa-backend.shape{shape}",
             symbols={"REQ": slot.req_base, "REPLY": slot.reply_base,
-                     "DONE": slot.done_base},
-            dynamic=tuple(f"W{i}" for i in range(max(shape, 1))))
-        _TEMPLATES[key] = template
-    return template
+                     "DONE": slot.done_base})
+    return program
 
 
 @dataclass
@@ -121,7 +132,7 @@ class _Pending:
     """One request accepted by the backend."""
 
     request_id: int
-    segments: List[int]         # per-segment work immediates, tax included
+    segments: List[int]         # per-segment work lengths, tax included
     rtt_cycles: int
     arrived: int
     on_done: Optional[Callable[[], None]]
@@ -133,13 +144,11 @@ class _Slot:
     """One worker ptid with its request/reply/done mailboxes."""
 
     ptid: int
+    arch: ArchState             # the ptid's architectural state
     req_base: int
     reply_base: int
     done_base: int
     current: Optional[_Pending] = field(default=None)
-    #: per-shape bound program instances, rebound (not rebuilt) per
-    #: request -- a slot serves one request at a time, so reuse is safe
-    bound: Dict[int, object] = field(default_factory=dict)
 
 
 class MachineBackend:
@@ -149,9 +158,8 @@ class MachineBackend:
                  costs: Optional[CostModel] = None,
                  resident_threads: Optional[int] = None,
                  coherence: Optional[str] = None):
-        if resident_threads is not None and resident_threads < 0:
-            raise ConfigError(
-                f"resident_threads must be >= 0, got {resident_threads}")
+        if resident_threads is not None:
+            require_int("resident_threads", resident_threads, 0)
         self.engine = engine
         self.design = design
         self.costs = costs or CostModel()
@@ -186,6 +194,7 @@ class MachineBackend:
         ptid = len(self._slots)
         slot = _Slot(
             ptid=ptid,
+            arch=self.machine.thread(ptid).arch,
             req_base=self.machine.alloc(f"req{ptid}", 64).base,
             reply_base=self.machine.alloc(f"reply{ptid}", 64).base,
             done_base=self.machine.alloc(f"done{ptid}", 64).base)
@@ -216,7 +225,7 @@ class MachineBackend:
             on_done=on_done)
         if self.span_sink is not None:
             # everything known analytically at submit: the per-segment
-            # tax folded into the work immediates and the remote-call
+            # tax folded into the work lengths and the remote-call
             # RTT lower bound between segments. What the machine itself
             # charges on top (wakeups, dispatch, slot drain, issue-slot
             # sharing) lands in the trace's queue residual.
@@ -246,7 +255,7 @@ class MachineBackend:
                                                       crowd=crowd)
 
     def _work_cycles(self, segment_cycles: List[float]) -> List[int]:
-        """Per-segment ``work`` immediates: demand plus any analytic tax.
+        """Per-segment ``work`` lengths: demand plus any analytic tax.
 
         hw-threads adds nothing -- the machine charges its own wakeups.
         """
@@ -271,36 +280,31 @@ class MachineBackend:
         pending = slot.current
         if self.design.name == "event-loop":
             # every continuation is the same one-segment shape: key 0
-            shape = 0
-            values = {"W0": pending.segments[pending.next_segment]}
+            shape, first = 0, pending.next_segment
         else:
-            shape = len(pending.segments)
-            values = {f"W{i}": work
-                      for i, work in enumerate(pending.segments)}
-        template = _template(shape, slot)
-        name = f"{self.design.name}.req{pending.request_id}"
-        program = slot.bound.get(shape)
-        if program is None:
-            program = template.instantiate(values, name=name)
-            slot.bound[shape] = program
-        else:
-            # same shape, new immediates: patch the existing instance
-            # (and its decoded chain) rather than rebuild both
-            template.rebind(program, values, name=name)
-        self.machine.load_program(slot.ptid, program, supervisor=False)
+            shape, first = len(pending.segments), 0
+        slot.arch.gprs[_WORK_REG] = pending.segments[first]
+        self.machine.load_program(slot.ptid, _program(shape, slot),
+                                  supervisor=False)
         self.machine.boot(slot.ptid)
 
     # ------------------------------------------------------------------
     def _make_peer(self, slot: _Slot):
-        """The remote side of the mid-request call: replies after RTT."""
-        def on_request(_info: dict) -> None:
+        """The remote side of the mid-request call: replies after RTT.
+        The thread stores the index of the segment it waits for."""
+        def on_request(info: dict) -> None:
             pending = slot.current
             if pending is None:     # stale store; cannot happen, but safe
                 return
-            self.engine.after(pending.rtt_cycles, self.machine.memory.store,
-                              slot.reply_base, pending.request_id,
-                              "dma:net")
+            self.engine.after(pending.rtt_cycles, self._reply, slot,
+                              pending, info["value"])
         return on_request
+
+    def _reply(self, slot: _Slot, pending: _Pending, index: int) -> None:
+        # the reply hands over the next segment's length with its store
+        slot.arch.gprs[_WORK_REG] = pending.segments[index]
+        self.machine.memory.store(slot.reply_base, pending.request_id,
+                                  "dma:net")
 
     def _make_done(self, slot: _Slot):
         def on_done(_info: dict) -> None:

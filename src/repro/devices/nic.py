@@ -175,7 +175,8 @@ class Nic:
         session = obs.active()
         if session is not None:
             session.register_source("dev.nic", self.fill_metrics)
-        self._watch_tx()
+        memory.watch_bus.subscribe(self.tx.doorbell_addr,
+                                   self._on_tx_doorbell, owner=f"{name}.tx")
 
     def fill_metrics(self, registry, prefix: str) -> None:
         """Snapshot-time metric harvest (see repro.obs.snapshot)."""
@@ -249,16 +250,8 @@ class Nic:
     # ------------------------------------------------------------------
     # TX: doorbell consumption
     # ------------------------------------------------------------------
-    def _watch_tx(self) -> None:
-        watch = self.memory.watch_bus.watch(self.tx.doorbell_addr,
-                                            owner=f"{self.name}.tx")
-
-        def on_doorbell(_info: dict) -> None:
-            self.engine.after(self.wire_latency_cycles, self._tx_complete)
-            watch.cancel()
-            self._watch_tx()  # re-arm for the next doorbell
-
-        watch.signal.add_waiter(on_doorbell)
+    def _on_tx_doorbell(self, _info: dict) -> None:
+        self.engine.after(self.wire_latency_cycles, self._tx_complete)
 
     def _tx_complete(self) -> None:
         self.tx_completed += 1

@@ -60,7 +60,8 @@ class Ssd:
         self.submit_time: Dict[int, int] = {}
         self.complete_time: Dict[int, int] = {}
         self._consumed = 0
-        self._watch_doorbell()
+        memory.watch_bus.subscribe(self.sq_tail_addr, self._drain_sq,
+                                   owner=f"{name}.sq")
 
     # ------------------------------------------------------------------
     @property
@@ -101,18 +102,7 @@ class Ssd:
     # ------------------------------------------------------------------
     # device side
     # ------------------------------------------------------------------
-    def _watch_doorbell(self) -> None:
-        watch = self.memory.watch_bus.watch(self.sq_tail_addr,
-                                            owner=f"{self.name}.sq")
-
-        def on_doorbell(_info: dict) -> None:
-            watch.cancel()
-            self._drain_sq()
-            self._watch_doorbell()
-
-        watch.signal.add_waiter(on_doorbell)
-
-    def _drain_sq(self) -> None:
+    def _drain_sq(self, _info: dict) -> None:
         tail = self.memory.load(self.sq_tail_addr)
         while self._consumed < tail:
             command_id = self._consumed

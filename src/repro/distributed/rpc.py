@@ -40,7 +40,7 @@ if TYPE_CHECKING:
 
 from repro.analysis.stats import LatencyRecorder
 from repro.arch.costs import CostModel
-from repro.errors import ConfigError
+from repro.errors import ConfigError, require_int
 from repro.kernel.sched import (
     FifoServer,
     ProcessorSharingServer,
@@ -198,9 +198,8 @@ class RpcServerModel:
         self.engine = engine
         self.design = design
         self.costs = costs or CostModel()
-        if resident_threads is not None and resident_threads < 0:
-            raise ConfigError(
-                f"resident_threads must be >= 0, got {resident_threads}")
+        if resident_threads is not None:
+            require_int("resident_threads", resident_threads, 0)
         self.cores = cores
         self.resident_threads = resident_threads
         self.recorder = LatencyRecorder(f"{design.name}.latency")

@@ -52,7 +52,7 @@ from __future__ import annotations
 from typing import Callable, Container, Dict, List, Optional
 
 from repro.errors import IsaError
-from repro.isa.instructions import Instruction, Label, OPS
+from repro.isa.instructions import Instruction, Label, OPS, Reg
 
 Handler = Callable[..., int]
 
@@ -431,7 +431,20 @@ def _make_halt(instruction: Instruction, next_pc: int, latency: int,
 
 def _make_work(instruction: Instruction, next_pc: int, latency: int,
                program) -> Handler:
-    remaining = max(instruction.operands[0].value - 1, 0)
+    operand = instruction.operands[0]
+    if isinstance(operand, Reg):
+        # a length passed as data: read when the instruction issues
+        rs = _gpr(operand)
+
+        def run(core, thread):
+            arch = thread.arch
+            arch.pc = next_pc
+            thread.work_remaining = max(arch.gprs[rs] - 1, 0)
+            thread._fused = None
+            return latency
+        run.latency = latency
+        return run
+    remaining = max(operand.value - 1, 0)
 
     def run(core, thread):
         # the first cycle issues now; the remainder occupy the thread's
@@ -517,8 +530,7 @@ def decode_program(program, dispatch: Dict[str, Callable],
     ``dispatch`` is the core's cold-op table (``HWCore._DISPATCH``,
     passed in to avoid an isa -> hw import cycle) backing the generic
     handlers. ``no_fuse`` marks indices excluded from superinstruction
-    fusion: template holes whose handler is rebuilt per instantiation,
-    or every index for a traced core.
+    fusion: every index for a traced core.
     """
     instructions = program.instructions
     count = len(instructions)

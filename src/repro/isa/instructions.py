@@ -143,7 +143,9 @@ OPS: Dict[str, OpSpec] = {spec.name: spec for spec in [
     _spec("jr", "R", description="pc <- rs"),
     _spec("halt", "", description="disable this ptid, exit status in r0"),
     # --- modeling pseudo-ops ---------------------------------------------
-    _spec("work", "I", description="consume imm cycles of computation"),
+    _spec("work", "RI",
+          description="consume imm (or rs, read at issue) cycles of "
+                      "computation; below 1 costs one cycle"),
     _spec("fwork", "I",
           description="consume imm cycles using FP/vector units "
                       "(dirties vector state: 272B -> 784B footprint)"),

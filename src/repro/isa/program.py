@@ -25,9 +25,6 @@ class Program:
         #: lazily built handler chain (repro.isa.decode); keyed to the
         #: program, so every thread running it shares one decode
         self._decoded_cache = None
-        #: set by AsmTemplate.instantiate: (template, hole indices),
-        #: letting the decode reuse the template's shared handler chain
-        self._decode_hint = None
         for label, target in self.labels.items():
             if not 0 <= target <= len(self.instructions):
                 raise IsaError(
@@ -51,14 +48,8 @@ class Program:
         """
         cache = self._decoded_cache
         if cache is None:
-            hint = self._decode_hint
-            if hint is not None:
-                template, holes = hint
-                cache = template.decode_instance(self, holes, dispatch)
-            else:
-                from repro.isa.decode import decode_program
-                cache = decode_program(self, dispatch)
-            self._decoded_cache = cache
+            from repro.isa.decode import decode_program
+            cache = self._decoded_cache = decode_program(self, dispatch)
         return cache
 
     def resolve(self, label: str) -> int:

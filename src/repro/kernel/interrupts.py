@@ -111,22 +111,12 @@ class HwThreadDispatch:
         self.recorder = LatencyRecorder(f"{name}.delivery")
         self.events_delivered = 0
         self._handler_busy_until = 0
-        self._arm()
+        memory.watch_bus.subscribe(event_addr, self._wake, owner="hwdispatch")
 
     # ------------------------------------------------------------------
     def delivery_cycles(self) -> int:
         """Write-to-handler-start latency for one wakeup."""
         return self.costs.hw_wakeup_cycles(self.tier)
-
-    def _arm(self) -> None:
-        watch = self.memory.watch_bus.watch(self.event_addr, owner="hwdispatch")
-
-        def on_write(info: dict) -> None:
-            watch.cancel()
-            self._wake(info)
-            self._arm()
-
-        watch.signal.add_waiter(on_write)
 
     def _wake(self, info: dict) -> None:
         raised_at = self.engine.now

@@ -91,16 +91,62 @@ class Watch:
         self.signal.fire(self.last_trigger)
 
 
+class Subscription:
+    """A watch on one line that stays armed: ``callback(info)`` runs on
+    every write to it (see :meth:`WatchBus.subscribe`).
+
+    Each delivery moves the entry to the back of its line's wake order
+    and, under a directory, out of and back into the line's sharer set
+    -- where a one-shot watch cancelled and re-armed on each write
+    would stand, at the same directory cost -- but nothing is built per
+    write.
+    """
+
+    __slots__ = ("bus", "owner", "line", "callback", "armed")
+
+    def __init__(self, bus: "WatchBus", line: int, callback,
+                 owner: Any = None):
+        self.bus = bus
+        self.owner = owner
+        self.line = line
+        self.callback = callback
+        self.armed = True
+        bus._line_watches[line][self] = None
+        if bus.coherence is not None:
+            bus.coherence.on_arm(line, self)
+
+    def cancel(self) -> None:
+        """Disarm and deregister. Idempotent."""
+        if self.armed:
+            self.armed = False
+            bus = self.bus
+            bus._line_watches[self.line].pop(self, None)
+            if bus.coherence is not None:
+                bus.coherence.on_disarm(self.line, self)
+
+    def _trigger(self, addr: int, value: int, source: str) -> None:
+        line = self.line
+        bus = self.bus
+        watchers = bus._line_watches[line]
+        del watchers[self]
+        watchers[self] = None
+        coherence = bus.coherence
+        if coherence is not None:
+            coherence.on_disarm(line, self)
+            coherence.on_arm(line, self)
+        self.callback({"addr": addr, "value": value, "source": source})
+
+
 class WatchBus:
     """Routes every memory write to the watches covering its line."""
 
     def __init__(self, line_bytes: int = LINE_BYTES):
         self.line_bytes = line_bytes
-        # line -> insertion-ordered set of watches. A dict keyed by the
-        # watch gives O(1) cancel while keeping the flat bus's exact
-        # arm-order iteration (a swap-remove list would reorder
-        # wakeups and break byte-identity).
-        self._line_watches: Dict[int, Dict[Watch, None]] = defaultdict(dict)
+        # line -> insertion-ordered set of watches and subscriptions. A
+        # dict keyed by the entry gives O(1) cancel while keeping the
+        # flat bus's exact arm-order iteration (a swap-remove list would
+        # reorder wakeups and break byte-identity).
+        self._line_watches: Dict[int, Dict[Any, None]] = defaultdict(dict)
         self.total_notifications = 0
         self.total_triggers = 0
         #: pluggable coherence model (None = flat free bus, the seed
@@ -132,7 +178,7 @@ class WatchBus:
         if not watchers:
             return 0
         fired = 0
-        # copy: triggering may cancel/re-arm watches
+        # copy: triggering may cancel, arm or move watches
         for watch in list(watchers):
             if watch.armed:
                 watch._trigger(addr, value, source)
@@ -145,31 +191,14 @@ class WatchBus:
         line holding ``addr``. Returns a zero-argument cancel function.
 
         Unlike a raw :class:`Watch` (whose signal waiters are one-shot,
-        matching mwait semantics), a subscription re-arms itself --
-        convenience for device drivers and experiment instrumentation.
+        matching mwait semantics), a subscription stays armed: one
+        :class:`Subscription` entry serves every write -- under a
+        directory also one that lands while the forward of an earlier
+        write is still in flight -- for device drivers, the ISA
+        backend's mailboxes and experiment instrumentation.
         """
-        state = {"active": True, "watch": None}
-
-        def arm() -> None:
-            watch = self.watch(addr, owner=owner)
-            state["watch"] = watch
-
-            def on_write(info: dict) -> None:
-                watch.cancel()
-                if not state["active"]:
-                    return
-                arm()
-                callback(info)
-
-            watch.signal.add_waiter(on_write)
-
-        def cancel() -> None:
-            state["active"] = False
-            if state["watch"] is not None:
-                state["watch"].cancel()
-
-        arm()
-        return cancel
+        return Subscription(self, addr // self.line_bytes, callback,
+                            owner).cancel
 
     def watchers_on(self, addr: int) -> int:
         """How many armed watches cover ``addr`` (diagnostics)."""

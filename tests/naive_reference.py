@@ -58,7 +58,7 @@ from contextlib import contextmanager
 from repro.errors import GuestFault, IsaError
 from repro.hw.core import HWCore
 from repro.hw.exceptions import ExceptionKind
-from repro.isa.instructions import Label, OPS
+from repro.isa.instructions import Label, OPS, Reg
 from repro.sim.engine import Engine
 
 
@@ -170,7 +170,12 @@ def _halt(core, thread, ops):
 
 
 def _work(core, thread, ops):
-    thread.work_remaining = max(ops[0].value - 1, 0)
+    length = ops[0]
+    if isinstance(length, Reg):
+        length = _read(thread, length)
+    else:
+        length = length.value
+    thread.work_remaining = max(length - 1, 0)
     thread._fused = None
     return 0
 

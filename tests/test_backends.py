@@ -73,6 +73,17 @@ class TestBackendRegistry:
         with pytest.raises(ConfigError, match="hw-threads"):
             get_design("green-threads")
 
+    @pytest.mark.parametrize("backend", ["model", "isa"])
+    @pytest.mark.parametrize("resident", [-1, 2.5, True, "3"],
+                             ids=["negative", "float", "bool", "str"])
+    def test_resident_threads_checked_at_the_boundary(self, backend,
+                                                      resident):
+        # a float crowd used to run (and tax a sw-threads segment by a
+        # fractional crowd), True ran as 1 and "3" raised a TypeError
+        with pytest.raises(ConfigError, match="resident_threads"):
+            create_backend(backend, Engine(), SW_THREADS,
+                           resident_threads=resident)
+
 
 # ----------------------------------------------------------------------
 # the ISA backend honors the request-in/latency-out contract
@@ -119,6 +130,81 @@ class TestMachineBackend:
         engine.run(until=2_000_000)
         assert server.completed == 40
         assert len(finished) == 40
+
+    #: (design, coherence) -> (completion time, retired instructions)
+    TWELVE_SEGMENTS = {
+        ("hw-threads", None): (991, 82),
+        ("hw-threads", "directory"): (1_807, 82),
+        ("sw-threads", None): (34_591, 82),
+        ("sw-threads", "directory"): (35_407, 82),
+    }
+
+    @pytest.mark.parametrize("design,coherence", sorted(
+        TWELVE_SEGMENTS, key=str))
+    def test_one_register_carries_every_segment_length(self, design,
+                                                       coherence):
+        """Twelve distinct segment lengths, more than r6-r15 could hold,
+        all through r6. At a one-cycle RTT the flat bus's reply lands
+        before ``mwait`` (each wait falls through); the directory's
+        forward delay makes every wait block. Completion time and
+        retired instructions are those of the per-request programs
+        with the lengths as immediates."""
+        engine = Engine()
+        server = create_backend("isa", engine, DESIGNS[design],
+                                coherence=coherence)
+        done = []
+        server.submit(0, [37, 5, 120, 64, 9, 233, 18, 77, 2, 151, 43, 96],
+                      rtt_cycles=1, on_done=lambda: done.append(engine.now))
+        engine.run()
+        monitor = server.machine.thread(0).monitor
+        assert monitor.total_fallthroughs == (11 if coherence is None else 0)
+        assert (done[0], server.machine.core(0).instructions_retired) == \
+            self.TWELVE_SEGMENTS[design, coherence]
+
+    def test_a_warm_cluster_run_builds_no_code(self, monkeypatch):
+        """Programs are assembled and decoded once per (shape, mailbox
+        bases) and process; a request's lengths travel in a register and
+        a subscription stays armed. So a second run of a ``cluster_isa``
+        configuration builds no instruction and no program, decodes
+        nothing, and builds a watch only for each ``monitor``."""
+        from repro.experiments.e14_cluster import _base_config
+        from repro.isa.instructions import Instruction
+        from repro.isa.program import Program
+        from repro.mem.watch import Watch
+
+        config = _base_config(nodes=4, fanout=2, policy="random",
+                              backend="isa", design=HW_THREADS,
+                              coherence="directory", requests=40)
+        run_cluster(config, seed=1)
+        built = {"Instruction": 0, "Program": 0, "decoded": 0, "Watch": 0}
+
+        def counting(name, method):
+            def wrapper(self, *args, **kwargs):
+                built[name] += 1
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        decoded = Program.decoded
+
+        def counting_decoded(program, dispatch):
+            built["decoded"] += program._decoded_cache is None
+            return decoded(program, dispatch)
+
+        monkeypatch.setattr(Instruction, "__post_init__", counting(
+            "Instruction", Instruction.__post_init__))
+        monkeypatch.setattr(Program, "__init__", counting(
+            "Program", Program.__init__))
+        monkeypatch.setattr(Program, "decoded", counting_decoded)
+        monkeypatch.setattr(Watch, "__init__", counting(
+            "Watch", Watch.__init__))
+        result = run_cluster(config, seed=1)
+        assert result.summary["completed"] == 40
+        arms = sum(thread.monitor.total_arms
+                   for node in result.service.nodes
+                   for thread in node.server.machine.core(0).threads)
+        assert arms > 0
+        assert built == {"Instruction": 0, "Program": 0, "decoded": 0,
+                         "Watch": arms}
 
     def test_event_loop_runs_one_segment_at_a_time(self):
         engine = Engine()

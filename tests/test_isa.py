@@ -121,7 +121,7 @@ class TestAssembler:
 
     def test_register_where_immediate_needed(self):
         with pytest.raises(IsaError):
-            assemble("work r1")
+            assemble("fwork r1")
 
     def test_monitor_mwait_sequence(self):
         prog = assemble("""

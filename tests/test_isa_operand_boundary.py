@@ -15,7 +15,6 @@ from repro import build_machine
 from repro.errors import IsaError
 from repro.hw.exceptions import ExceptionDescriptor, ExceptionKind
 from repro.isa import Imm, Instruction, Reg, RegName, assemble
-from repro.isa.assembler import AsmTemplate
 
 #: each wrote a control register from user mode without a fault
 ESCALATIONS = [
@@ -59,13 +58,19 @@ def test_direct_construction_is_checked():
 
 
 def test_templates_check_every_instruction_at_parse():
-    with pytest.raises(IsaError, match="line 2"):
-        AsmTemplate("work N\nmovi priv, N", dynamic=("N",))
+    """The ISA backend's request programs assemble through the checked
+    path, with every segment a register-fed ``work``; a ``work`` that
+    names a control register fails at load."""
+    from repro.backends.machine import _request_asm, _segment_asm
+    symbols = {"REQ": 0x1000, "REPLY": 0x1040, "DONE": 0x1080}
+    sources = [_segment_asm()] + [_request_asm(n) for n in range(1, 13)]
+    for source in sources:
+        program = assemble(source, symbols=symbols)
+        works = [i for i in program.instructions if i.op == "work"]
+        assert works and all(i.operands == (Reg("r6"),) for i in works)
+    machine = build_machine()
     with pytest.raises(IsaError, match="line 1"):
-        AsmTemplate("mov tdtr, r1\nwork N", dynamic=("N",))
-    program = AsmTemplate("movi r1, N\nhalt", dynamic=("N",)) \
-        .instantiate({"N": 5})
-    assert program.instructions[0].operands == (Reg("r1"), Imm(5))
+        machine.load_asm(0, "work priv\nhalt", supervisor=False)
 
 
 def test_legal_register_operands_still_assemble():

@@ -3,10 +3,12 @@
 Two randomized equivalences back the E18 claims:
 
 - *decode transparency*: for random programs over the ALU / memory /
-  branch / work subset, a machine running the pre-decoded handler
-  chains finishes with exactly the architectural state, retirement
-  counts, busy-cycle totals, and final clock of the naive interpreter
-  oracle in ``tests/naive_reference.py``;
+  branch / work subset -- ``work`` with an immediate, or with a length
+  a ``movi`` put in a register, read each time the ``work`` issues --
+  a machine running the pre-decoded handler chains finishes with
+  exactly the architectural state, retirement counts, busy-cycle
+  totals, and final clock of the naive interpreter oracle in
+  ``tests/naive_reference.py``;
 - *WRR degenerates to RR*: at uniform weights
   :class:`~repro.hw.issue.WeightedRoundRobinIssue` must reproduce the
   pick stream of the plain round-robin reference in
@@ -38,13 +40,14 @@ _REG = st.integers(min_value=1, max_value=7)
 
 @st.composite
 def _programs(draw):
-    """A terminating program: random ALU/work/load/store body with only
-    forward skips, ending in halt. Termination is structural (pc is
-    strictly increasing except for bounded skips forward)."""
+    """A terminating program: random ALU/work/load/store body with
+    forward skips and countdown loops, ending in halt. Termination is
+    structural: pc only moves backwards in a loop whose counter (r8,
+    which nothing else writes) falls on every pass."""
     body = []
     length = draw(st.integers(min_value=1, max_value=14))
     for index in range(length):
-        kind = draw(st.integers(min_value=0, max_value=9))
+        kind = draw(st.integers(min_value=0, max_value=10))
         if kind <= 5:
             tmpl = draw(_ALU)
             body.append(tmpl.format(
@@ -57,6 +60,14 @@ def _programs(draw):
             body.append(f"ld r{draw(_REG)}, r0, BUF")
         elif kind == 8:
             body.append(f"st r0, BUF, r{draw(_REG)}")
+        elif kind == 9:
+            # a register-fed work: the same instruction issues once per
+            # pass with a smaller length each time (below 1 costs one
+            # cycle)
+            start = draw(st.integers(min_value=-2, max_value=40))
+            step = draw(st.integers(min_value=1, max_value=15))
+            body += [f"movi r8, {start}", f"loop{index}:", "work r8",
+                     f"addi r8, r8, -{step}", f"blt r0, r8, loop{index}"]
         else:
             # forward skip: branch to the label at the end of the body
             body.append(f"bne r{draw(_REG)}, r0, end")
