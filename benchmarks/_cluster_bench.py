@@ -3,8 +3,8 @@
 ``bench_e14_cluster.py`` and ``bench_e15_backends.py`` both double as
 standalone scripts that record wall-clock and events/sec numbers, with
 the host that measured them, into ``BENCH_cluster.json`` at the repo
-root. The committed file is the baseline the CI bench-smoke job
-compares fresh measurements against.
+root. The committed file is a record: no gate reads it, and the CI
+bench-smoke job times the same entry points against the base tree.
 """
 
 import json

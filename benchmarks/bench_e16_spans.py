@@ -1,14 +1,15 @@
-"""E16 bench: the tracing A/B and the span-pipeline micro-bench.
+"""E16 bench: the tracing A/B and the E16 wall clock.
 
-Run as a script (``PYTHONPATH=src python benchmarks/bench_e16_spans.py``)
-to record the cost of per-request tracing into ``BENCH_cluster.json``:
-an interleaved best-of-N A/B of the same cluster run untraced
-(reference), untraced again (disabled -- the span hooks are in the hot
-path but short-circuit on ``store is None``, so this pass measures the
-container's noise bound, gated <3% in CI) and inside
-``spans.tracing()`` with the default tail-based sampling (enabled --
-the documented opt-in cost). Pass ``--quick`` to skip the full-mode
-E16 experiment timing.
+``tracing_ab`` runs fresh in ``bench_smoke.py``. Run as a script
+(``PYTHONPATH=src python benchmarks/bench_e16_spans.py``) to record the
+cost of per-request tracing into the ``e16`` section of
+``BENCH_cluster.json``, a record which no gate reads: an interleaved
+A/B of the same cluster run untraced (reference), untraced again
+(disabled -- the span hooks are in the hot path but short-circuit on
+``store is None``, so this pass measures the container's noise bound,
+gated <3% in CI) and inside ``spans.tracing()`` with the default
+tail-based sampling (enabled -- the documented opt-in cost). Pass
+``--quick`` to skip the full-mode E16 experiment timing.
 """
 
 import sys
@@ -17,36 +18,12 @@ import time
 from repro.cluster import ClusterConfig, DESIGNS, run_cluster
 
 
-def test_e16_tail_anatomy(run_experiment):
-    result = run_experiment("E16", rounds=1)
-    conservation = result.series("conservation")
-    assert conservation["checked"] > 0
-    assert conservation["violations"] == 0
-    scale = result.series("scale")
-    ratios = [scale[n]["ratio"] for n in result.series("node_counts")]
-    assert all(b > a for a, b in zip(ratios, ratios[1:]))
-
-
 def _run(requests=200):
     config = ClusterConfig(nodes=8, design=DESIGNS["sw-threads"],
                            policy="random", fanout=4, load=0.1,
                            mean_service_cycles=5_000, segments=4,
                            rtt_cycles=20_000, requests=requests)
     return run_cluster(config, seed=7)
-
-
-def test_bench_traced_cluster(benchmark):
-    import repro.obs.spans as spans
-
-    def traced():
-        with spans.tracing() as store:
-            result = _run()
-        return result, store
-
-    result, store = benchmark(traced)
-    assert result.summary["completed"] == 200
-    assert store.payload()["counters"]["completed"] == 200
-    assert store.exemplars()
 
 
 def tracing_ab(trials: int = 9, requests: int = 800) -> dict:

@@ -1,9 +1,11 @@
 #!/usr/bin/env python
-"""Engine/core throughput baseline: events/sec and simulated cycles/sec.
+"""Engine/core throughput record: events/sec and simulated cycles/sec.
 
-Measures the three layers the fast path is built from and writes the
-numbers to ``BENCH_engine.json`` at the repo root so future PRs have a
-trajectory to compare against:
+Measures the layers the fast path is built from and writes the numbers,
+with the host that measured them, to ``BENCH_engine.json`` at the repo
+root: a record, which no gate reads (``bench_smoke.py`` times
+``bench_engine_dispatch`` and ``bench_watch_cancel`` against the base
+tree, and runs the A/Bs below fresh):
 
 - ``engine``: raw callback dispatch throughput (a self-rescheduling
   timer chain -- every simulated cycle is one heap pop + one push);
@@ -256,7 +258,10 @@ def main() -> None:
         coherence = coherence_ab()
         if coherence["disabled_overhead_pct"] <= 3.0:
             break
+    from benchmarks._cluster_bench import host
+
     payload = {
+        "host": host(),
         "engine": bench_engine_dispatch(),
         "core": [
             # naive gets a smaller burst so the bench stays quick; the

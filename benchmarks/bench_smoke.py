@@ -1,36 +1,43 @@
 #!/usr/bin/env python
-"""CI bench-smoke: quick engine + cluster benchmarks vs committed baselines.
+"""CI bench-smoke: the change's speed against its base tree, on one host.
 
-Re-measures the cheap throughput numbers -- raw engine dispatch
-(``BENCH_engine.json``) and the two cluster micro-runs
-(``BENCH_cluster.json``) -- and fails if any events/sec figure
-regresses more than ``TOLERANCE_PCT`` below its committed baseline.
-Wall-clock entries are informational; only events/sec is gated, since
-it is the one metric that tracks the engine hot path rather than the
-container's mood. The engine-event counts of these cluster runs are
-deterministic, so they are not gated here but pinned exactly by the
-tier-1 test ``tests/test_cluster_event_counts.py``.
+A figure read on one host does not compare with one recorded on another,
+and a shared host spreads wider from run to run than a useful bound. So
+each throughput gate pairs the change with a reference tree, the base
+exported with ``git archive``, on the same host. Each of ``ROUNDS``
+rounds runs every entry point once per side, in a fresh interpreter
+whose ``cwd`` and ``PYTHONPATH`` are that side's tree root and ``src/``,
+the side that goes first alternating. A gate fails when the median of
+its per-round change/reference ratios is below ``FLOOR`` (more than 25%
+slower), or when either side cannot run it. Nothing here reads the
+``BENCH_*.json`` records; exact engine event counts are tier-1 tests.
 
 The instrumentation, request-tracing and coherence-hook A/Bs run fresh
-and interleaved in this process; no committed number is read. Their
-gated ``disabled`` figure is an A/A noise bound: the disabled pass runs
-the same code as its reference, so the gate shows that the A/B resolves
-``OVERHEAD_BUDGET_PCT`` on this host, which the ``enabled`` (opt-in)
-figure printed beside it relies on. It is not a regression check on
-the disabled guards: what they cost shows only against a build without
-them.
+in this process, in the change's tree alone. Each gates an A/A noise
+bound: its ``disabled`` pass runs the same code as its reference, so the
+gate shows the A/B resolves ``OVERHEAD_BUDGET_PCT`` here, which the
+``enabled`` figure printed beside it relies on. It is not a regression
+check on the disabled guards.
 
-Run:  PYTHONPATH=src python benchmarks/bench_smoke.py
+Run:  mkdir ../base && git archive BASE | tar -x -C ../base
+      PYTHONPATH=src python benchmarks/bench_smoke.py --reference ../base
 """
 
+import argparse
 import json
+import os
 import pathlib
+import statistics
+import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT))
 
-TOLERANCE_PCT = 25.0
+#: Paired rounds; each runs every entry point once per side.
+ROUNDS = 7
+
+#: Lowest median change/reference throughput ratio a gate passes at.
+FLOOR = 0.75
 
 #: How far a disabled pass may read below its identical reference pass.
 OVERHEAD_BUDGET_PCT = 3.0
@@ -38,14 +45,133 @@ OVERHEAD_BUDGET_PCT = 3.0
 #: Fresh A/Bs per overhead gate before it fails.
 OVERHEAD_ATTEMPTS = 4
 
+SIDES = ("change", "reference")
 
-def check(label: str, baseline: int, measured: int, failures: list) -> None:
-    drop = 100.0 * (1 - measured / baseline)
-    status = "ok" if drop <= TOLERANCE_PCT else "REGRESSED"
-    print(f"{label:42s} baseline {baseline:>10,}  "
-          f"measured {measured:>10,}  drop {drop:6.1f}%  {status}")
-    if drop > TOLERANCE_PCT:
-        failures.append(label)
+#: entry point -> (its gates, the code a fresh interpreter runs in each
+#: tree, using only names both trees define). The code leaves ``figures``,
+#: gate -> throughput (higher is faster), each the best of several calls
+#: as the timed runs last milliseconds. ``isa_dispatch`` times the
+#: decoded side only.
+ENTRY_POINTS = {
+    "engine.dispatch": (("engine.dispatch",), """
+from benchmarks.bench_engine_throughput import bench_engine_dispatch
+figures = {"engine.dispatch": max(bench_engine_dispatch()["events_per_sec"]
+                                  for _ in range(5))}
+"""),
+    "e14.cluster_run": (("e14.cluster_run",), """
+from benchmarks.bench_e14_cluster import micro_bench
+figures = {"e14.cluster_run": max(micro_bench()["events_per_sec"]
+                                  for _ in range(5))}
+"""),
+    "e15.cluster_run": (("e15.cluster_run",), """
+from benchmarks.bench_e15_backends import micro_bench
+figures = {"e15.cluster_run": max(micro_bench()["events_per_sec"]
+                                  for _ in range(5))}
+"""),
+    "watch.cancel_churn": (("watch.cancel_churn",), """
+from benchmarks.bench_engine_throughput import bench_watch_cancel
+figures = {"watch.cancel_churn":
+           bench_watch_cancel(trials=5)["cancels_per_sec"]}
+"""),
+    "e14.shard_scaling": (
+        tuple(f"e14.shard_scaling[shards={s}]" for s in (1, 2, 4)), """
+from benchmarks.bench_e14_cluster import shard_scaling
+runs = [shard_scaling((1, 2, 4)) for _ in range(2)]
+figures = {f"e14.shard_scaling[shards={shards}]":
+           max(run[shards]["events_per_sec"] for run in runs)
+           for shards in runs[0]}
+"""),
+    "isa_dispatch": (
+        tuple(f"isa_dispatch.{name}[predecode]"
+              for name in ("alu", "branchy", "memory")), """
+from benchmarks.bench_isa_dispatch import WORKLOADS, _run_once
+figures = {}
+for name, (source, iters) in WORKLOADS.items():
+    _run_once(source, iters // 2, False)  # warm caches before measuring
+    figures[f"isa_dispatch.{name}[predecode]"] = max(
+        _run_once(source, iters // 2, False) for _ in range(5))
+"""),
+}
+
+#: What a fresh interpreter runs: an entry point's code, then one JSON
+#: line naming the ``repro`` it imported and the figures it measured.
+CHILD = """
+import json
+import repro
+{code}
+print(json.dumps({{"origin": repro.__file__, "figures": figures}}))
+"""
+
+
+def tree_measure(trees: dict):
+    """``measure(entry, side)``: one run of the entry point in a fresh
+    interpreter in ``trees[side]``; a ``RuntimeError`` names the side if
+    it fails or imports ``repro`` from outside that tree's ``src/``."""
+
+    def measure(entry: str, side: str) -> dict:
+        tree = trees[side]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tree / "src"), str(tree)]))
+        code = CHILD.format(code=ENTRY_POINTS[entry][1])
+        done = subprocess.run([sys.executable, "-c", code], cwd=tree,
+                              env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            tail = done.stderr.strip().splitlines()[-1:]
+            raise RuntimeError(f"{side} side exited {done.returncode}: "
+                               f"{' '.join(tail)}")
+        reply = json.loads(done.stdout.splitlines()[-1])
+        origin = pathlib.Path(reply["origin"]).resolve()
+        if not origin.is_relative_to((tree / "src").resolve()):
+            raise RuntimeError(f"{side} side imported repro from {origin}, "
+                               f"not from {tree / 'src'}")
+        return reply["figures"]
+
+    return measure
+
+
+def check_paired(measure, failures: list) -> None:
+    """Gate every entry point's figures on paired rounds. Each round runs
+    every entry point once per side, so a gate's rounds spread over the
+    whole run, and the side that goes first alternates."""
+    samples = {gate: [] for gates, _code in ENTRY_POINTS.values()
+               for gate in gates}
+    broken = {}
+    for index in range(ROUNDS):
+        print(f"round {index + 1} of {ROUNDS}", flush=True)
+        order = SIDES if index % 2 == 0 else SIDES[::-1]
+        for entry, (gates, _code) in ENTRY_POINTS.items():
+            if entry in broken:
+                continue
+            try:
+                figures = {side: measure(entry, side) for side in order}
+                for side in order:
+                    missing = [g for g in gates if g not in figures[side]]
+                    if missing:
+                        raise RuntimeError(
+                            f"{side} side measured no {', '.join(missing)}")
+            except RuntimeError as err:
+                broken[entry] = err
+                continue
+            for gate in gates:
+                samples[gate].append((figures["change"][gate],
+                                      figures["reference"][gate]))
+    for entry, (gates, _code) in ENTRY_POINTS.items():
+        if entry in broken:
+            print(f"{', '.join(gates)}: cannot run: {broken[entry]}")
+            failures.append(f"{', '.join(gates)} (cannot run)")
+            continue
+        for gate in gates:
+            changes, references = zip(*samples[gate])
+            ratios = [c / r for c, r in samples[gate]]
+            median = statistics.median(ratios)
+            ok = median >= FLOOR
+            print(f"{gate:42s} change {statistics.median(changes):>11,.0f}"
+                  f"  reference {statistics.median(references):>11,.0f}"
+                  f"  ratio {median:5.2f}"
+                  f" ({min(ratios):.2f}-{max(ratios):.2f})"
+                  f"  {'ok' if ok else 'REGRESSED'}")
+            if not ok:
+                failures.append(gate)
 
 
 def check_overhead(label: str, measure, failures: list) -> None:
@@ -72,75 +198,37 @@ def check_overhead(label: str, measure, failures: list) -> None:
         failures.append(f"{label}[disabled]")
 
 
-def main() -> int:
-    from benchmarks import _cluster_bench as cb
-    from benchmarks.bench_engine_throughput import bench_engine_dispatch
-    import benchmarks.bench_e14_cluster as e14
-    import benchmarks.bench_e15_backends as e15
-    import benchmarks.bench_e16_spans as e16_spans
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--reference", required=True, metavar="DIR",
+                        type=pathlib.Path,
+                        help="the base tree, exported with git archive")
+    args = parser.parse_args(argv)
+    from benchmarks.bench_e16_spans import tracing_ab
+    from benchmarks.bench_engine_throughput import (bench_instrumentation,
+                                                    coherence_ab)
 
-    engine_base = json.loads((ROOT / "BENCH_engine.json").read_text())
-    cluster_base = json.loads(cb.OUTPUT.read_text())
     failures: list = []
-
-    # best-of-3 to keep CI noise out of the comparison
-    measured = max(bench_engine_dispatch()["events_per_sec"]
-                   for _ in range(3))
-    check("engine.dispatch", engine_base["engine"]["events_per_sec"],
-          measured, failures)
-
-    for section, module in (("e14", e14), ("e15", e15)):
-        committed = cluster_base[section]["cluster_run"]
-        fresh = module.micro_bench()
-        check(f"{section}.cluster_run", committed["events_per_sec"],
-              fresh["events_per_sec"], failures)
+    measure = tree_measure({"change": ROOT,
+                            "reference": args.reference.resolve()})
+    print(f"{ROUNDS} paired rounds against {args.reference}; a gate "
+          f"fails below a median change/reference ratio of {FLOOR}")
+    check_paired(measure, failures)
 
     # request tracing: untraced vs untraced noise bound, traced cost
-    check_overhead("e16.tracing", e16_spans.tracing_ab, failures)
-
+    check_overhead("e16.tracing", tracing_ab, failures)
     # instrumentation: instrument=False vs itself, instrument=True cost
-    from benchmarks.bench_engine_throughput import bench_instrumentation
     check_overhead("instrumentation", bench_instrumentation, failures)
-
-    # watch-bus cancel churn: the O(1) per-line watcher sets, gated
-    # against the committed baseline like any events/sec figure
-    from benchmarks.bench_engine_throughput import (bench_watch_cancel,
-                                                    coherence_ab)
-    fresh_cancel = bench_watch_cancel(trials=5)
-    check("watch.cancel_churn",
-          engine_base["watch_cancel"]["cancels_per_sec"],
-          fresh_cancel["cancels_per_sec"], failures)
-
     # coherence hook: coherence=None vs itself, directory model cost
     check_overhead("coherence", coherence_ab, failures)
 
-    # PDES shard scaling (process transport, default store): the same
-    # sweep cell at 1/2/4 shard workers, each gated independently
-    scaling_base = cluster_base["e14"].get("shard_scaling", {})
-    fresh_scaling = e14.shard_scaling(
-        tuple(int(s) for s in scaling_base))
-    for shards, cell in scaling_base.items():
-        check(f"e14.shard_scaling[shards={shards}]",
-              cell["events_per_sec"],
-              fresh_scaling[shards]["events_per_sec"], failures)
-
-    # decoded-dispatch throughput: fresh instr/sec per loop shape with
-    # the decode cache on, gated against the committed baseline (a
-    # regression here means the handler chains or fusion got slower)
-    from benchmarks.bench_isa_dispatch import micro_bench as isa_dispatch
-    fresh_isa = isa_dispatch(scale=2)
-    for name, cell in engine_base["isa_dispatch"]["workloads"].items():
-        check(f"isa_dispatch.{name}[predecode]",
-              cell["predecode_instr_per_sec"],
-              fresh_isa[name]["predecode_instr_per_sec"], failures)
-
     if failures:
-        print(f"\nevents/sec regression >{TOLERANCE_PCT}% in: "
-              + ", ".join(failures))
+        print("\nfailed: " + ", ".join(failures))
         return 1
     print("\nall benchmarks within tolerance")
     return 0
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT))
     sys.exit(main())

@@ -278,11 +278,12 @@ def observability_markdown() -> str:
         "the core has one issue loop, whose profiler calls each sit",
         "behind an attribute-is-None check, and everything else guards",
         "on one such check too. CI's `benchmarks/bench_smoke.py` times",
-        "`instrument=False` against itself as a fresh <3% noise bound for",
-        "the opt-in cost it prints beside it; what the checks themselves",
-        "cost shows only against a build without them. Instrumentation",
-        "only observes: an instrumented machine runs exactly the",
-        "uninstrumented simulation, engine events included",
+        "`instrument=False` against itself, in one process, as a fresh",
+        "<3% noise bound for the opt-in cost it prints beside it; what",
+        "the checks themselves cost shows only against a build without",
+        "them. Instrumentation only observes: an instrumented machine",
+        "runs exactly the uninstrumented simulation, engine events",
+        "included",
         "(`tests/test_fastforward_equivalence.py`), and",
         "CI `cmp`s the quick evaluation with and without `--metrics`.",
         "",
@@ -874,12 +875,16 @@ def engine_markdown() -> str:
         "`BENCH_engine.json` (raw dispatch events/sec, core cycles/sec,",
         "evaluation wall-clock); `benchmarks/bench_e14_cluster.py` and",
         "`benchmarks/bench_e15_backends.py` write `BENCH_cluster.json`",
-        "(cluster wall-clock and events/sec, with the measuring host).",
-        "`benchmarks/bench_smoke.py` re-measures the quick numbers in CI",
-        "and fails on a >25% events/sec regression against the",
-        "committed baselines. The engine events those cluster runs",
-        "dispatch are deterministic and pinned exactly by the tier-1",
-        "test `tests/test_cluster_event_counts.py`.",
+        "(cluster wall-clock and events/sec). Both files are records",
+        "with the measuring host, and no gate reads them.",
+        "`benchmarks/bench_smoke.py --reference DIR` times the same",
+        "entry points in CI against the base tree (exported with",
+        "`git archive` into DIR) on the same host: fresh interpreters,",
+        "at least five rounds with alternating order, and a gate fails",
+        "when its median change/reference ratio is below 0.75. The",
+        "engine events those cluster runs dispatch are deterministic",
+        "and pinned exactly by the tier-1 test",
+        "`tests/test_cluster_event_counts.py`.",
         "",
     ]
     return "\n".join(lines)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Run the full paper evaluation (E01-E18) and print every table.
 
-This is the programmatic twin of ``pytest benchmarks/ --benchmark-only``.
-With ``--markdown`` it emits the per-experiment sections EXPERIMENTS.md
+This is the programmatic twin of ``python -m repro evaluate``. With
+``--markdown`` it emits the per-experiment sections EXPERIMENTS.md
 embeds; with ``--quick`` it uses the small CI-sized workloads; with
 ``--parallel N`` the experiments fan across N worker processes (every
 experiment is self-contained, so the output is identical to serial;

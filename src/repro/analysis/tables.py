@@ -1,9 +1,8 @@
 """Plain-text tables with aligned columns.
 
-Every benchmark prints its results through :class:`Table`, so the
-console output of ``pytest benchmarks/ --benchmark-only`` reads like the
-rows of the paper's evaluation and EXPERIMENTS.md can embed the same
-rendering.
+Every experiment prints its results through :class:`Table`, so the
+console output of ``repro evaluate`` reads like the rows of the paper's
+evaluation and EXPERIMENTS.md can embed the same rendering.
 """
 
 from __future__ import annotations

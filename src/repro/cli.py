@@ -27,6 +27,38 @@ from typing import List, Optional
 from repro._version import __version__
 
 
+def _run_flags() -> argparse.ArgumentParser:
+    """The cluster-run flags ``cluster`` and ``trace`` share, as a parent
+    parser. A child shares its parent's actions and ``set_defaults``
+    rewrites an action's default, so each verb gets its own copy."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--nodes", type=int, default=8)
+    flags.add_argument("--design", help="hw-threads | sw-threads | "
+                       "event-loop; cluster also takes 'all' (the three)")
+    flags.add_argument("--backend", default="model",
+                       help="server backend per node: 'model' "
+                            "(behavioral RpcServerModel) or 'isa' "
+                            "(full ISA-level machine)")
+    flags.add_argument("--policy", default="round-robin",
+                       help="random | round-robin | jsq | p2c")
+    flags.add_argument("--fanout", type=int, default=1,
+                       help="shards per request (response = slowest)")
+    flags.add_argument("--load", type=float, default=0.6,
+                       help="offered load per node of the base service")
+    flags.add_argument("--requests", type=int, default=500)
+    flags.add_argument("--queue-limit", type=int, default=None,
+                       help="per-node admission limit (default: none)")
+    flags.add_argument("--hedge-after", type=int, default=None,
+                       metavar="CYCLES",
+                       help="send a hedged shard after this many cycles")
+    flags.add_argument("--shards", type=int, default=1,
+                       help="partition the run over N engine shards "
+                            "(conservative PDES; byte-identical output; "
+                            "random or round-robin, no hedging)")
+    flags.add_argument("--seed", type=lambda v: int(v, 0), default=0xC0FFEE)
+    return flags
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -81,37 +113,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                "trace per experiment)")
 
     cluster = sub.add_parser(
-        "cluster",
+        "cluster", parents=[_run_flags()],
         help="simulate a multi-machine cluster (load balancing, "
              "fan-out, hedged requests)")
-    cluster.add_argument("--nodes", type=int, default=8)
-    cluster.add_argument("--design", default="hw-threads",
-                         help="hw-threads | sw-threads | event-loop, "
-                              "or 'all' to compare the three")
-    cluster.add_argument("--backend", default="model",
-                         help="server backend per node: 'model' "
-                              "(behavioral RpcServerModel) or 'isa' "
-                              "(full ISA-level machine)")
-    cluster.add_argument("--policy", default="round-robin",
-                         help="random | round-robin | jsq | p2c")
-    cluster.add_argument("--fanout", type=int, default=1,
-                         help="shards per request (response = slowest)")
-    cluster.add_argument("--load", type=float, default=0.6,
-                         help="offered load per node of the base service")
-    cluster.add_argument("--requests", type=int, default=500)
-    cluster.add_argument("--queue-limit", type=int, default=None,
-                         help="per-node admission limit (default: none)")
-    cluster.add_argument("--hedge-after", type=int, default=None,
-                         metavar="CYCLES",
-                         help="send a hedged shard after this many cycles")
-    cluster.add_argument("--shards", type=int, default=1,
-                         help="partition the run over N engine shards "
-                              "(conservative PDES; byte-identical output; "
-                              "random or round-robin, no hedging)")
     cluster.add_argument("--drop-prob", type=float, default=0.0,
                          help="per-message link drop probability")
-    cluster.add_argument("--seed", type=lambda v: int(v, 0),
-                         default=0xC0FFEE)
     cluster.add_argument("--json", action="store_true", dest="as_json")
     cluster.add_argument("--trace", metavar="FILE", default=None,
                          dest="trace_path",
@@ -124,29 +130,14 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="trace every request and export the "
                               "retained span trees as Perfetto "
                               "trace-event JSON")
+    cluster.set_defaults(design="hw-threads")
 
     trace = sub.add_parser(
-        "trace",
+        "trace", parents=[_run_flags()],
         help="run one traced cluster and pretty-print the slowest "
              "requests' span trees (critical-path decomposition)")
     trace.add_argument("--top", type=int, default=5, metavar="K",
                        help="render the K slowest requests (default 5)")
-    trace.add_argument("--nodes", type=int, default=8)
-    trace.add_argument("--design", default="sw-threads",
-                       help="hw-threads | sw-threads | event-loop")
-    trace.add_argument("--backend", default="model",
-                       help="'model' or 'isa'")
-    trace.add_argument("--policy", default="round-robin",
-                       help="random | round-robin | jsq | p2c")
-    trace.add_argument("--fanout", type=int, default=1)
-    trace.add_argument("--load", type=float, default=0.6)
-    trace.add_argument("--requests", type=int, default=500)
-    trace.add_argument("--queue-limit", type=int, default=None)
-    trace.add_argument("--hedge-after", type=int, default=None,
-                       metavar="CYCLES")
-    trace.add_argument("--shards", type=int, default=1)
-    trace.add_argument("--seed", type=lambda v: int(v, 0),
-                       default=0xC0FFEE)
     trace.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the full span payload as JSON instead "
                             "of rendered trees")
@@ -154,6 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="span_trace_path",
                        help="also export the trees as Perfetto "
                             "trace-event JSON")
+    # lossless links: trace has no --drop-prob
+    trace.set_defaults(design="sw-threads", drop_prob=0.0)
 
     profile = sub.add_parser("profile",
                              help="cycle-attribution profile of one "
@@ -356,19 +349,25 @@ def _cmd_evaluate(quick: bool, markdown: bool, parallel: int = 1,
     return 0
 
 
+def _cluster_config(args, design: str):
+    """The ``ClusterConfig`` of one ``cluster`` or ``trace`` run."""
+    from repro.cluster import ClusterConfig, LinkSpec, get_design
+
+    return ClusterConfig(
+        nodes=args.nodes, design=get_design(design), policy=args.policy,
+        fanout=args.fanout, load=args.load, requests=args.requests,
+        queue_limit=args.queue_limit, hedge_after=args.hedge_after,
+        link=LinkSpec(drop_prob=args.drop_prob), backend=args.backend,
+        shards=args.shards)
+
+
 def _cmd_cluster(args) -> int:
     import json
     from contextlib import nullcontext
 
     import repro.obs.spans as spans
     from repro.analysis.tables import Table
-    from repro.cluster import (
-        DESIGNS,
-        ClusterConfig,
-        LinkSpec,
-        get_design,
-        run_cluster,
-    )
+    from repro.cluster import DESIGNS, run_cluster
     from repro.errors import ReproError
 
     names = (list(DESIGNS) if args.design == "all"
@@ -377,13 +376,7 @@ def _cmd_cluster(args) -> int:
     span_trees = []
     try:
         for name in names:
-            config = ClusterConfig(
-                nodes=args.nodes, design=get_design(name),
-                policy=args.policy, fanout=args.fanout, load=args.load,
-                requests=args.requests, queue_limit=args.queue_limit,
-                hedge_after=args.hedge_after,
-                link=LinkSpec(drop_prob=args.drop_prob),
-                backend=args.backend, shards=args.shards)
+            config = _cluster_config(args, name)
             tracing = (spans.tracing() if args.span_trace_path
                        else nullcontext(None))
             with tracing as store:
@@ -442,7 +435,7 @@ def _cmd_trace(args) -> int:
     import json
 
     import repro.obs.spans as spans
-    from repro.cluster import ClusterConfig, get_design, run_cluster
+    from repro.cluster import run_cluster
     from repro.errors import ReproError
 
     if args.top < 1:
@@ -450,12 +443,7 @@ def _cmd_trace(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        config = ClusterConfig(
-            nodes=args.nodes, design=get_design(args.design),
-            policy=args.policy, fanout=args.fanout, load=args.load,
-            requests=args.requests, queue_limit=args.queue_limit,
-            hedge_after=args.hedge_after, backend=args.backend,
-            shards=args.shards)
+        config = _cluster_config(args, args.design)
         with spans.tracing(top_k=args.top) as store:
             run_cluster(config, seed=args.seed)
     except ReproError as err:

@@ -193,8 +193,7 @@ class RpcServerModel:
     def __init__(self, engine: Engine, design: ServerDesign,
                  costs: Optional[CostModel] = None, cores: int = 1,
                  resident_threads: Optional[int] = None):
-        if cores < 1:
-            raise ConfigError(f"cores must be >= 1, got {cores}")
+        require_int("cores", cores, 1)
         self.engine = engine
         self.design = design
         self.costs = costs or CostModel()

@@ -14,7 +14,7 @@ Usage::
     print(result.render())
 
 Every ``run`` accepts ``quick=True`` (smaller workloads for CI and
-pytest-benchmark loops) and a ``seed`` for the RNG streams.
+the test suite) and a ``seed`` for the RNG streams.
 """
 
 from repro.experiments.registry import (

@@ -52,6 +52,13 @@ class TestBackendRegistry:
         assert isinstance(server, RpcServerModel)
         assert isinstance(server, ServerBackend)
 
+    @pytest.mark.parametrize("design", [HW_THREADS, EVENT_LOOP],
+                             ids=["ps", "fifo"])
+    def test_model_backend_builds_one_core_past_the_check(self, design):
+        # create_backend takes no cores: both disciplines get the
+        # default single core, which the boundary check accepts
+        assert create_backend("model", Engine(), design).cores == 1
+
     def test_isa_backend_is_the_machine(self):
         server = create_backend("isa", Engine(), HW_THREADS)
         assert isinstance(server, MachineBackend)
@@ -267,6 +274,22 @@ class TestProbeStaleness:
         assert balancer.probes < balancer.picks
         assert result.summary["conserved"]
         assert result.summary["completed"] == 40
+
+    def test_staleness_vs_p99(self):
+        """Stale jsq probes cost tail latency: at high load the exact
+        oracle beats a badly stale snapshot. Mild staleness may tie, so
+        only the endpoints are compared."""
+        p99 = {}
+        for delay in (0, 20_000, 200_000):
+            summary = run_cluster(ClusterConfig(
+                nodes=8, design=HW_THREADS, policy="jsq", fanout=2,
+                load=0.8, mean_service_cycles=5_000, segments=4,
+                rtt_cycles=20_000, requests=300,
+                probe_delay_cycles=delay), seed=7).summary
+            assert summary["conserved"], f"probe_delay={delay}"
+            assert summary["completed"] == 300
+            p99[delay] = summary["p99"]
+        assert p99[200_000] > p99[0]
 
     def test_stale_balancer_needs_an_engine(self):
         engine = Engine()

@@ -83,6 +83,40 @@ class TestCluster:
         assert payload["hw-threads"]["conserved"] is True
 
 
+#: every option of the two run verbs and the default it parses to
+RUN_FLAGS = {
+    "cluster": {
+        "--nodes": 8, "--design": "hw-threads", "--backend": "model",
+        "--policy": "round-robin", "--fanout": 1, "--load": 0.6,
+        "--requests": 500, "--queue-limit": None, "--hedge-after": None,
+        "--shards": 1, "--drop-prob": 0.0, "--seed": 0xC0FFEE,
+        "--json": False, "--trace": None, "--metrics": None,
+        "--span-trace": None},
+    "trace": {
+        "--top": 5, "--nodes": 8, "--design": "sw-threads",
+        "--backend": "model", "--policy": "round-robin", "--fanout": 1,
+        "--load": 0.6, "--requests": 500, "--queue-limit": None,
+        "--hedge-after": None, "--shards": 1, "--seed": 0xC0FFEE,
+        "--json": False, "--span-trace": None},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(RUN_FLAGS))
+def test_run_verb_options_and_defaults(verb):
+    import argparse
+
+    from repro.cli import _build_parser
+
+    parser = _build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    parsed = parser.parse_args([verb])
+    options = {option: getattr(parsed, action.dest)
+               for action in sub.choices[verb]._actions
+               for option in action.option_strings if action.dest != "help"}
+    assert options == RUN_FLAGS[verb]
+
+
 class TestTrace:
     ARGS = ["--nodes", "4", "--fanout", "2", "--load", "0.3",
             "--requests", "30"]

@@ -122,6 +122,19 @@ def test_exact_bench_run_work(name):
     assert retired == instructions
 
 
+def test_sw_threads_tail_above_hw_on_the_micro_run():
+    """The fan-in crowding tax on the E14 micro-run's workload: for the
+    same requests sw-threads pays a longer tail than hw-threads."""
+    summaries = {
+        design: run_cluster(_bench_config(design, 8, 4, "random", 200),
+                            seed=7).summary
+        for design in ("hw-threads", "sw-threads")}
+    for summary in summaries.values():
+        assert summary["conserved"]
+        assert summary["completed"] == 200
+    assert summaries["sw-threads"]["p99"] > summaries["hw-threads"]["p99"]
+
+
 def test_a_dropped_request_cancels_its_hedge_timers(monkeypatch):
     """Lossy links and a two-deep admission queue drop requests whose
     other shards still hold a hedge timer; settling the request as

@@ -80,6 +80,13 @@ class TestRpcServerModel:
         with pytest.raises(ConfigError):
             server.submit(0, [], 100)
 
+    @pytest.mark.parametrize("design", [SW_THREADS, EVENT_LOOP],
+                             ids=["ps", "fifo"])
+    @pytest.mark.parametrize("cores", ["2", 2.5, 1.0, True, 0])
+    def test_bad_cores_rejected_naming_cores(self, design, cores):
+        with pytest.raises(ConfigError, match="cores must be an integer"):
+            RpcServerModel(Engine(), design, cores=cores)
+
 
 class TestShapes:
     def test_sw_threads_saturate_before_hw(self):

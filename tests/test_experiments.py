@@ -91,6 +91,12 @@ class TestE03Shape:
         assert series["polling"][load]["wasted_frac"] > 0.5
         assert series["mwait"][load]["wasted_frac"] < 0.05
 
+    def test_interrupt_mean_above_mwait_at_every_load(self, results):
+        series = results["E03"].series("series")
+        for load in results["E03"].series("loads"):
+            assert series["interrupt"][load]["mean"] \
+                > series["mwait"][load]["mean"]
+
 
 class TestE04Shape:
     def test_hw_path_lowest_overhead(self, results):
@@ -186,6 +192,13 @@ class TestE12Shape:
         fine = min(ablation)
         assert ablation[fine]["sw"]["p99"] > ablation[fine]["hw"]["p99"]
         assert ablation[fine]["sw"]["overhead"] > 0
+
+
+class TestE13Shape:
+    def test_prefetch_and_pinning_beat_a_cold_wake(self, results):
+        cells = results["E13"].series("cells")
+        assert cells["prefetch"] < cells["none"]
+        assert cells["pinned"] < cells["none"]
 
 
 class TestE14Shape:

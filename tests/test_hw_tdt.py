@@ -132,6 +132,17 @@ class TestTdtCache:
     def test_invalidate_missing_returns_false(self):
         assert not TdtCache().invalidate(0x1000, 3)
 
+    def test_invalidated_entry_pays_a_walk(self):
+        mem = Memory()
+        tdt = ThreadDescriptorTable(mem, mem.alloc("tdt", 1024).base)
+        tdt.set_entry(3, 9, Permission.ALL)
+        cache = TdtCache()
+        cache.lookup(mem, tdt.base, 3)
+        cache.invalidate(tdt.base, 3)
+        entry, cost = cache.lookup(mem, tdt.base, 3)
+        assert entry.ptid == 9
+        assert cost == cache.costs.tdt_miss_cycles
+
     def test_invalidate_all(self):
         mem = Memory()
         tdt = ThreadDescriptorTable(mem, mem.alloc("tdt", 1024).base)

@@ -68,6 +68,12 @@ class TestGuestVm:
             < slowdowns["SplitXExitPath"] \
             < slowdowns["InThreadExitPath"]
 
+    def test_frequent_exits_slow_only_the_in_thread_guest(self):
+        # an exit every 5k cycles: over 20% for in-thread, under for hw
+        _p, in_thread = run_guest(InThreadExitPath, total_work=500_000)
+        _p, hw_thread = run_guest(HwThreadExitPath, total_work=500_000)
+        assert in_thread.slowdown() > 1.2 > hw_thread.slowdown()
+
     def test_exit_latency_recorded(self):
         _path, guest = run_guest(HwThreadExitPath)
         costs = CostModel()

@@ -98,6 +98,12 @@ class TestHwThreadSyscallPath:
         _p, hw_runner = run_path(HwThreadSyscallPath)
         assert hw_runner.recorder.pct(50) < sync_runner.recorder.pct(50)
 
+    def test_overhead_under_a_fifth_of_short_calls(self):
+        _p, runner = run_path(HwThreadSyscallPath, iterations=200,
+                              user_work=100, kernel_work=200)
+        assert runner.recorder.count == 200
+        assert runner.overhead_fraction() < 0.2
+
     def test_fp_kernel_is_free(self):
         _p, plain = run_path(HwThreadSyscallPath)
         _p, fp = run_path(HwThreadSyscallPath, kernel_uses_fp=True)
